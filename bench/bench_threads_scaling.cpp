@@ -1,4 +1,4 @@
-// Threads x tile-shape scaling of the parallel tiled kernels (rt::par):
+// Threads x tile-shape scaling of the host executor (rt/simd/execute.hpp):
 // host wall-clock MFlops for JACOBI / REDBLACK / RESID under every paper
 // transform, at 1..T threads.  The point being tested: the JI tile grid is
 // an embarrassingly parallel work unit (K stays untiled), so Euc3D/GcdPad/
@@ -6,16 +6,15 @@
 // spread over cores — tiled configurations should scale at least as well
 // as Orig and stay ahead of it at every thread count.
 //
-// Before timing, each kernel's parallel variant is checked bit-for-bit
-// against its serial counterpart at the benched size (red-black against
-// the naive two-pass schedule, which the serial tiled kernel is itself
-// bit-identical to — see tests/kernels_test.cpp).
+// Before timing, each kernel's executor run (serial and parallel, baseline
+// rows and the auto level) is checked bit-for-bit against the serial
+// accessor reference at the benched size.
 //
 // Flags: --threads=T sets the top of the thread sweep ({1, 2, 4, ..., T});
 // default sweep is {1, 2, 4}.  --nmax=N overrides the problem size
 // (default 400, the acceptance size); --host is implied.  --simd=MODE
-// restricts the SIMD axis (default sweeps off AND auto, so the table shows
-// the scalar-vs-row-kernel gap at every thread count).
+// restricts the SIMD axis (default sweeps off AND auto: off is the scalar
+// accessor reference at 1 thread and the baseline rows stamp beyond).
 
 #include <chrono>
 #include <iostream>
@@ -30,14 +29,9 @@
 #include "rt/core/plan.hpp"
 #include "rt/core/plan_cache.hpp"
 #include "rt/core/temporal.hpp"
-#include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/kernels/redblack.hpp"
-#include "rt/kernels/resid.hpp"
 #include "rt/kernels/timeskew.hpp"
-#include "rt/par/par_kernels.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/execute.hpp"
 #include "rt/temporal/wavefront.hpp"
 
 namespace {
@@ -46,6 +40,8 @@ using rt::array::Array3D;
 using rt::array::Dims3;
 using rt::core::Transform;
 using rt::kernels::KernelId;
+using rt::simd::ExecPolicy;
+using rt::simd::SimdLevel;
 
 std::vector<int> thread_sweep(int requested) {
   if (requested <= 1 && requested != 0) return {1};
@@ -81,78 +77,52 @@ bool interiors_equal(const Array3D<double>& a, const Array3D<double>& b) {
   return true;
 }
 
-/// One serial-vs-parallel step of each kernel at the benched size; returns
-/// false (and reports) on any bitwise difference.
+const struct {
+  KernelId kid;
+  const char* name;
+} kKernels[] = {{KernelId::kJacobi, "JACOBI"},
+                {KernelId::kRedBlack, "REDBLACK"},
+                {KernelId::kResid, "RESID"},
+                {KernelId::kPsinv, "PSINV"}};
+
+/// One step of each kernel at the benched size through the executor —
+/// serially and on the pool, at the baseline rows stamp and at the host's
+/// auto level — against the serial accessor reference (red-black's
+/// two-pass colour schedule against the serial fused tiled one, which
+/// tests/kernels_test.cpp shows bit-identical).  Returns false (and
+/// reports) on any bitwise difference.
 bool verify_bit_identical(long n, long kd, int threads) {
   const auto plan = rt::core::plan_for(Transform::kGcdPad, 2048, n, n,
                                        rt::core::StencilSpec::jacobi3d());
   const Dims3 d = Dims3::padded(n, n, kd, plan.dip, plan.djp);
   rt::par::ThreadPool pool(threads);
+  const SimdLevel best = rt::simd::resolve(rt::simd::SimdMode::kAuto);
+  const ExecPolicy policies[] = {
+      {nullptr, best}, {&pool, SimdLevel::kRows}, {&pool, best}};
   bool ok = true;
-
-  {  // JACOBI (+ copy-back)
-    Array3D<double> b1 = make_grid(d, 0.5), b2 = b1;
-    Array3D<double> a1(d), a2(d);
-    rt::kernels::jacobi3d_tiled(a1, b1, 1.0 / 6.0, plan.tile);
-    rt::kernels::copy_interior(b1, a1);
-    rt::par::jacobi3d_tiled_par(pool, a2, b2, 1.0 / 6.0, plan.tile);
-    rt::par::copy_interior_par(pool, b2, a2);
-    if (!interiors_equal(a1, a2) || !interiors_equal(b1, b2)) {
-      std::cerr << "VERIFY FAILED: parallel JACOBI differs from serial\n";
-      ok = false;
-    }
-  }
-  {  // REDBLACK (parallel two-pass vs serial naive == serial tiled)
-    Array3D<double> a1 = make_grid(d, 0.3), a2 = a1;
-    rt::kernels::redblack_naive(a1, 0.4, 0.1);
-    rt::par::redblack_tiled_par(pool, a2, 0.4, 0.1, plan.tile);
-    if (!interiors_equal(a1, a2)) {
-      std::cerr << "VERIFY FAILED: parallel REDBLACK differs from serial\n";
-      ok = false;
-    }
-  }
-  {  // RESID
-    Array3D<double> v = make_grid(d, 0.7), u = make_grid(d, 0.1);
-    Array3D<double> r1(d), r2(d);
-    const auto a = rt::kernels::nas_mg_a();
-    rt::kernels::resid_tiled(r1, v, u, a, plan.tile);
-    rt::par::resid_tiled_par(pool, r2, v, u, a, plan.tile);
-    if (!interiors_equal(r1, r2)) {
-      std::cerr << "VERIFY FAILED: parallel RESID differs from serial\n";
-      ok = false;
-    }
-  }
-  {  // Row kernels (serial and parallel) at the host's resolved auto level.
-    const auto lvl = rt::simd::resolve(rt::simd::SimdMode::kAuto);
-    Array3D<double> b1 = make_grid(d, 0.5), b2 = b1, b3 = b1;
-    Array3D<double> a1(d), a2(d), a3(d);
-    rt::kernels::jacobi3d_tiled(a1, b1, 1.0 / 6.0, plan.tile);
-    rt::kernels::copy_interior(b1, a1);
-    rt::simd::jacobi3d_tiled_rows(a2, b2, 1.0 / 6.0, plan.tile, lvl);
-    rt::simd::copy_interior_rows(b2, a2, lvl);
-    rt::simd::jacobi3d_tiled_rows_par(pool, a3, b3, 1.0 / 6.0, plan.tile,
-                                      lvl);
-    rt::simd::copy_interior_rows_par(pool, b3, a3, lvl);
-    if (!interiors_equal(a1, a2) || !interiors_equal(b1, b2) ||
-        !interiors_equal(a1, a3) || !interiors_equal(b1, b3)) {
-      std::cerr << "VERIFY FAILED: simd row JACOBI differs from accessor\n";
-      ok = false;
-    }
-    Array3D<double> v = make_grid(d, 0.7), u = make_grid(d, 0.1);
-    Array3D<double> r1(d), r2(d);
-    const auto a = rt::kernels::nas_mg_a();
-    rt::kernels::resid_tiled(r1, v, u, a, plan.tile);
-    rt::simd::resid_tiled_rows_par(pool, r2, v, u, a, plan.tile, lvl);
-    if (!interiors_equal(r1, r2)) {
-      std::cerr << "VERIFY FAILED: simd row RESID differs from accessor\n";
-      ok = false;
-    }
-    Array3D<double> c1 = make_grid(d, 0.3), c2 = c1;
-    rt::kernels::redblack_naive(c1, 0.4, 0.1);
-    rt::simd::redblack_tiled_rows_par(pool, c2, 0.4, 0.1, plan.tile, lvl);
-    if (!interiors_equal(c1, c2)) {
-      std::cerr << "VERIFY FAILED: simd row REDBLACK differs from accessor\n";
-      ok = false;
+  for (const auto& kn : kKernels) {
+    const auto fresh = [&] {
+      std::vector<Array3D<double>> a;
+      for (int i = 0; i < rt::kernels::kernel_info(kn.kid).num_arrays; ++i) {
+        a.push_back(make_grid(d, 0.1 + 0.3 * i));
+      }
+      return a;
+    };
+    std::vector<Array3D<double>> ref = fresh();
+    rt::bench::host_step(kn.kid, plan, ref, {nullptr, SimdLevel::kScalar});
+    for (const ExecPolicy& pol : policies) {
+      std::vector<Array3D<double>> got = fresh();
+      rt::bench::host_step(kn.kid, plan, got, pol);
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (!interiors_equal(ref[i], got[i])) {
+          std::cerr << "VERIFY FAILED: " << kn.name << " at simd "
+                    << rt::simd::simd_level_name(pol.lvl) << " on "
+                    << (pol.pool ? pol.pool->num_threads() : 1)
+                    << " thread(s) differs from the serial reference\n";
+          ok = false;
+          break;
+        }
+      }
     }
   }
   return ok;
@@ -174,8 +144,9 @@ int main(int argc, char** argv) {
 
   const int vthreads = std::max(threads.back(), 4);
   if (!verify_bit_identical(n, ro.k_dim, vthreads)) return 1;
-  std::cout << "verified: parallel + simd-row kernels bit-identical to "
-               "serial at N=" << n << " with " << vthreads << " threads\n\n";
+  std::cout << "verified: executor (serial + parallel, rows + auto) "
+               "bit-identical to the serial reference at N="
+            << n << " with " << vthreads << " threads\n\n";
 
   const std::vector<rt::simd::SimdMode> simd_modes =
       bo.simd_given ? std::vector<rt::simd::SimdMode>{bo.simd}
@@ -185,17 +156,9 @@ int main(int argc, char** argv) {
   const std::vector<Transform> transforms = {
       Transform::kOrig, Transform::kTile, Transform::kEuc3d,
       Transform::kGcdPad, Transform::kPad};
-  const struct {
-    KernelId kid;
-    const char* name;
-  } kernels[] = {{KernelId::kJacobi, "JACOBI"},
-                 {KernelId::kRedBlack, "REDBLACK"},
-                 {KernelId::kResid, "RESID"},
-                 {KernelId::kPsinv, "PSINV"}};
-
   std::vector<std::vector<std::string>> rows;
   long skipped_fallback = 0;
-  for (const auto& kn : kernels) {
+  for (const auto& kn : kKernels) {
     for (Transform tr : transforms) {
       for (rt::simd::SimdMode sm : simd_modes) {
         ro.simd = sm;
@@ -203,10 +166,9 @@ int main(int argc, char** argv) {
         for (int t : threads) {
           ro.threads = t;
           const auto r = rt::bench::run_kernel(kn.kid, tr, n, ro);
-          // A kernel with no parallel/simd variant (PSINV) times serially
-          // whatever was requested; every such configuration beyond the
-          // serial-scalar one would print an identical row masquerading as
-          // a real data point — skip it and say so below.
+          // A configuration that ran below what was requested (a failed
+          // thread spawn, a degraded plan) would print a row masquerading
+          // as a real data point — skip it and say so below.
           if (r.degraded()) {
             ++skipped_fallback;
             continue;
@@ -238,15 +200,15 @@ int main(int argc, char** argv) {
             << rt::par::ThreadPool::default_threads() << "\n";
   if (skipped_fallback > 0) {
     std::cout << "skipped " << skipped_fallback
-              << " serial-fallback duplicates (PSINV has no parallel or "
-                 "simd variant;\nonly its serial scalar row is real data)\n";
+              << " degraded configurations (ran below the requested "
+                 "threads/simd or on a fallback plan)\n";
   }
 
   // --- Temporal-blocking thread scaling (rt::temporal wavefronts) ---
   // Same thread sweep over the skew and diamond schedules, each verified
   // bitwise against the serial ping-pong reference at every width.
   // Degraded configurations (infeasible plan, failed thread spawn) are
-  // routed into the skipped count like the serial-fallback rows above.
+  // routed into the skipped count like the degraded rows above.
   if (!bo.temporal_given || bo.temporal != rt::core::TemporalMode::kOff) {
     const long kd = ro.k_dim;
     const int tsteps = bo.steps > 2 ? bo.steps : 4;

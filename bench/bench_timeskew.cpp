@@ -24,10 +24,8 @@
 #include "rt/core/temporal.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/timeskew.hpp"
-#include "rt/par/par_kernels.hpp"
 #include "rt/par/thread_pool.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/execute.hpp"
 #include "rt/temporal/wavefront.hpp"
 
 using rt::array::Array3D;
@@ -259,11 +257,11 @@ int main(int argc, char** argv) {
           for (int t = 0; t < tsteps; ++t) {
             Array3D<double>& dst = (t % 2 == 0) ? a : b;
             const Array3D<double>& src = (t % 2 == 0) ? b : a;
-            if (threads > 1) {
-              rt::simd::jacobi3d_rows_par(pool, dst, src, 1.0 / 6.0, lvl);
-            } else {
-              rt::simd::jacobi3d_rows(dst, src, 1.0 / 6.0, lvl);
-            }
+            rt::simd::execute({&pool, lvl}, {}, dst,
+                              [&](const rt::simd::Box& x) {
+                                rt::simd::jacobi_sweep(dst, src, 1.0 / 6.0, x,
+                                                       lvl);
+                              });
           }
           return rt::temporal::TemporalRun{threads, 1};
         });

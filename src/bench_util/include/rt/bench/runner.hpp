@@ -20,7 +20,7 @@
 #include "rt/obs/metrics_writer.hpp"
 #include "rt/obs/perf_counters.hpp"
 #include "rt/obs/phase_timer.hpp"
-#include "rt/simd/simd.hpp"
+#include "rt/simd/execute.hpp"
 #include "rt/tune/autotuner.hpp"
 
 namespace rt::bench {
@@ -30,14 +30,15 @@ struct RunOptions {
   bool time_host = false;  ///< wall-clock host timing (secondary signal)
   int time_steps = 2;      ///< time-step iterations measured in simulation
   double min_host_seconds = 0.05;
-  /// Execution width for *host* timing: > 1 runs the parallel kernels
-  /// (rt::par) over the JI tile grid.  Trace-driven simulation always
+  /// Execution width for *host* timing: > 1 runs the steps through the
+  /// executor (rt/simd/execute.hpp) on a pool.  Trace-driven simulation always
   /// executes serially — TracedArray3D accessors mutate the shared cache
   /// hierarchy, and serial execution is what keeps traces deterministic.
   int threads = 1;
-  /// SIMD fast path for *host* timing: kOff runs the accessor kernels,
-  /// kAuto/kAvx2 dispatch to the rt::simd row kernels (bit-identical; see
-  /// rt/simd/row_kernels.hpp).  Trace-driven simulation always uses the
+  /// SIMD fast path for *host* timing: kOff runs the serial accessor
+  /// kernels (the baseline rows stamp when threads > 1), kAuto/kAvx2 the
+  /// rt::simd row sweeps through the executor (bit-identical; see
+  /// rt/simd/execute.hpp).  Trace-driven simulation always uses the
   /// accessor kernels — TracedArray3D *is* the accessor concept.
   rt::simd::SimdMode simd = rt::simd::SimdMode::kOff;
   /// Opt-in: round the planned leading dimension up to the vector width
@@ -113,7 +114,7 @@ struct RunResult {
   double host_mflops = 0;   ///< wall-clock MFlops on this host (0 if off)
   int threads = 1;          ///< execution width used for host timing
   /// Resolved SIMD level the host timing actually ran (kScalar when the
-  /// accessor kernels ran, e.g. --simd=off or a kernel with no row path).
+  /// serial accessor kernels ran; kRows for --simd=off on a pool).
   rt::simd::SimdLevel simd = rt::simd::SimdLevel::kScalar;
   /// What the caller asked for, before capability fallbacks (e.g. a
   /// requested SIMD level the host cannot execute resolves lower; a
@@ -124,7 +125,7 @@ struct RunResult {
   rt::simd::SimdMode simd_requested = rt::simd::SimdMode::kOff;
   bool degraded() const {
     return threads < threads_requested ||
-           rt::simd::resolve(simd_requested) != simd ||
+           simd < rt::simd::resolve(simd_requested) ||
            status != rt::guard::Status::kOk ||
            plan_status != rt::guard::Status::kOk;
   }
@@ -162,6 +163,15 @@ RunResult run_kernel(rt::kernels::KernelId id, rt::core::Transform tr, long n,
 RunResult run_kernel_with_plan(rt::kernels::KernelId id,
                                const rt::core::TilingPlan& plan, long n,
                                const RunOptions& opts);
+
+/// One host time step of kernel @p id under @p plan on its
+/// kernel_info(id).num_arrays native arrays (equal dims): the serial
+/// accessor reference when pol.lvl is kScalar, otherwise the row sweeps
+/// through rt::simd::execute.  The runner's measured step; exported so
+/// microbenchmarks time exactly the same code.
+void host_step(rt::kernels::KernelId id, const rt::core::TilingPlan& plan,
+               std::vector<rt::array::Array3D<double>>& arrays,
+               const rt::simd::ExecPolicy& pol);
 
 /// Simulated L1/L2 miss rates of the 2D Jacobi stencil nest on an n x n
 /// array — used by the 2D-vs-3D motivation study (no copy-back, so the

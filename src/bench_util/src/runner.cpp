@@ -25,11 +25,8 @@
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
-#include "rt/multigrid/par_operators.hpp"
-#include "rt/par/par_kernels.hpp"
 #include "rt/par/thread_pool.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/execute.hpp"
 
 namespace rt::bench {
 
@@ -44,6 +41,8 @@ using rt::cachesim::TracedArray3D;
 using rt::core::TilingPlan;
 using rt::core::Transform;
 using rt::kernels::KernelId;
+using rt::simd::Box;
+using rt::simd::ExecPolicy;
 
 /// Deterministic smooth-ish initialisation (values are irrelevant to the
 /// cache trace; they only need to stay finite across sweeps).
@@ -74,10 +73,12 @@ double now_seconds() {
       .count();
 }
 
-/// One full measured time step of a kernel, templated over accessors.
-/// Plans with LoopSchedule::kRecursive (the oblivious backend) run the
-/// cache-oblivious recursive forms with plan.tile as the base case; tiled
-/// flat plans run the paper's strip-mined nests.
+/// One full measured time step of a kernel.  operator() over accessors is
+/// the serial reference (native or traced): plans with
+/// LoopSchedule::kRecursive (the oblivious backend) run the cache-oblivious
+/// recursive forms with plan.tile as the base case, tiled flat plans the
+/// paper's strip-mined nests.  exec() runs the same step through
+/// rt::simd::execute on native arrays.
 struct JacobiStep {
   double c = 1.0 / 6.0;
   TilingPlan plan;
@@ -95,6 +96,15 @@ struct JacobiStep {
     }
     rt::kernels::copy_interior(b, a);
   }
+  void exec(const ExecPolicy& pol, Array3D<double>& a,
+            Array3D<double>& b) const {
+    rt::simd::execute(pol, plan, a, [&](const Box& x) {
+      rt::simd::jacobi_sweep(a, b, c, x, pol.lvl);
+    });
+    rt::simd::execute(pol, TilingPlan{}, b, [&](const Box& x) {
+      rt::simd::copy_sweep(b, a, x, pol.lvl);
+    });
+  }
 };
 
 struct RedBlackStep {
@@ -108,6 +118,13 @@ struct RedBlackStep {
       rt::kernels::redblack_tiled(a, c1, c2, plan.tile);
     } else {
       rt::kernels::redblack_naive(a, c1, c2);
+    }
+  }
+  void exec(const ExecPolicy& pol, Array3D<double>& a) const {
+    for (long parity = 0; parity < 2; ++parity) {
+      rt::simd::execute(pol, plan, a, [&](const Box& x) {
+        rt::simd::redblack_sweep(a, c1, c2, parity, x, pol.lvl);
+      });
     }
   }
 };
@@ -125,6 +142,12 @@ struct ResidStep {
       rt::kernels::resid(r, v, u, a);
     }
   }
+  void exec(const ExecPolicy& pol, Array3D<double>& r, Array3D<double>& v,
+            Array3D<double>& u) const {
+    rt::simd::execute(pol, plan, r, [&](const Box& x) {
+      rt::simd::resid_sweep(r, v, u, a, x, pol.lvl);
+    });
+  }
 };
 
 struct PsinvStep {
@@ -139,6 +162,12 @@ struct PsinvStep {
     } else {
       rt::multigrid::psinv(u, r, c);
     }
+  }
+  void exec(const ExecPolicy& pol, Array3D<double>& u,
+            Array3D<double>& r) const {
+    rt::simd::execute(pol, plan, u, [&](const Box& x) {
+      rt::simd::psinv_sweep(u, r, c, x, pol.lvl);
+    });
   }
 };
 
@@ -270,25 +299,25 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
       case KernelId::kJacobi: {
         TracedArray3D<double> a(arrays[0], bases[0], hier);
         TracedArray3D<double> b(arrays[1], bases[1], hier);
-        run_traced(JacobiStep{1.0 / 6.0, res.plan}, a, b);
+        run_traced(JacobiStep{.plan = res.plan}, a, b);
         break;
       }
       case KernelId::kRedBlack: {
         TracedArray3D<double> a(arrays[0], bases[0], hier);
-        run_traced(RedBlackStep{0.4, 0.1, res.plan}, a);
+        run_traced(RedBlackStep{.plan = res.plan}, a);
         break;
       }
       case KernelId::kResid: {
         TracedArray3D<double> r(arrays[0], bases[0], hier);
         TracedArray3D<double> v(arrays[1], bases[1], hier);
         TracedArray3D<double> u(arrays[2], bases[2], hier);
-        run_traced(ResidStep{rt::kernels::nas_mg_a(), res.plan}, r, v, u);
+        run_traced(ResidStep{.plan = res.plan}, r, v, u);
         break;
       }
       case KernelId::kPsinv: {
         TracedArray3D<double> u(arrays[0], bases[0], hier);
         TracedArray3D<double> r(arrays[1], bases[1], hier);
-        run_traced(PsinvStep{rt::multigrid::nas_mg_c(), res.plan}, u, r);
+        run_traced(PsinvStep{.plan = res.plan}, u, r);
         break;
       }
     }
@@ -302,16 +331,13 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
   }
 
   if (opts.time_host) {
-    // threads > 1 dispatches the native arrays to the rt::par kernels over
-    // the JI tile grid (or over K planes for untiled plans); --simd=auto/
-    // avx2 swaps the accessor loops for the rt::simd row sweeps in both
-    // the serial and the parallel case (bit-identical either way).
-    // Recursive (oblivious) plans carry tiled = true with the base tile,
-    // so the SIMD/pool fast paths run them as flat tiles of the base case
-    // — the same block set the recursion bottoms out at, still
-    // bit-identical; only the serial-scalar path (and simulation) walks
-    // the true recursion.
-    using rt::simd::SimdLevel;
+    // threads > 1 runs the steps through rt::simd::execute on a pool
+    // (--simd=off there runs the baseline rows stamp: the accessor
+    // reference is serial only); so does any serial SIMD level.  Recursive
+    // (oblivious) plans run there as flat tiles of the base case — the
+    // same block set the recursion bottoms out at, still bit-identical;
+    // only the serial-scalar reference (and simulation) walks the true
+    // recursion.
     res.threads_requested = opts.threads > 1 ? opts.threads : 1;
     res.simd_requested = opts.simd;
     std::unique_ptr<rt::par::ThreadPool> pool;
@@ -319,159 +345,11 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
       pool = std::make_unique<rt::par::ThreadPool>(opts.threads);
       res.threads = pool->num_threads();
     }
-    const SimdLevel lvl = rt::simd::resolve(opts.simd);
-    res.simd = lvl;
-    const bool tiled = res.plan.tiled;
-    const rt::core::IterTile tile = res.plan.tile;
-    std::function<void()> step;
-    switch (id) {
-      case KernelId::kJacobi: {
-        const double c = 1.0 / 6.0;
-        if (lvl != SimdLevel::kScalar && pool) {
-          step = [&, c, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::jacobi3d_tiled_rows_par(*pool, arrays[0], arrays[1],
-                                                c, tile, lvl);
-            } else {
-              rt::simd::jacobi3d_rows_par(*pool, arrays[0], arrays[1], c,
-                                          lvl);
-            }
-            rt::simd::copy_interior_rows_par(*pool, arrays[1], arrays[0],
-                                             lvl);
-          };
-        } else if (lvl != SimdLevel::kScalar) {
-          step = [&, c, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::jacobi3d_tiled_rows(arrays[0], arrays[1], c, tile,
-                                            lvl);
-            } else {
-              rt::simd::jacobi3d_rows(arrays[0], arrays[1], c, lvl);
-            }
-            rt::simd::copy_interior_rows(arrays[1], arrays[0], lvl);
-          };
-        } else if (pool) {
-          step = [&, c, tiled, tile] {
-            if (tiled) {
-              rt::par::jacobi3d_tiled_par(*pool, arrays[0], arrays[1], c,
-                                          tile);
-            } else {
-              rt::par::jacobi3d_par(*pool, arrays[0], arrays[1], c);
-            }
-            rt::par::copy_interior_par(*pool, arrays[1], arrays[0]);
-          };
-        } else {
-          step = [&] { JacobiStep{1.0 / 6.0, res.plan}(arrays[0], arrays[1]); };
-        }
-        break;
-      }
-      case KernelId::kRedBlack: {
-        const double c1 = 0.4, c2 = 0.1;
-        if (lvl != SimdLevel::kScalar && pool) {
-          step = [&, c1, c2, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::redblack_tiled_rows_par(*pool, arrays[0], c1, c2,
-                                                tile, lvl);
-            } else {
-              rt::simd::redblack_rows_par(*pool, arrays[0], c1, c2, lvl);
-            }
-          };
-        } else if (lvl != SimdLevel::kScalar) {
-          step = [&, c1, c2, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::redblack_tiled_rows(arrays[0], c1, c2, tile, lvl);
-            } else {
-              rt::simd::redblack_rows(arrays[0], c1, c2, lvl);
-            }
-          };
-        } else if (pool) {
-          step = [&, c1, c2, tiled, tile] {
-            if (tiled) {
-              rt::par::redblack_tiled_par(*pool, arrays[0], c1, c2, tile);
-            } else {
-              rt::par::redblack_par(*pool, arrays[0], c1, c2);
-            }
-          };
-        } else {
-          step = [&] { RedBlackStep{0.4, 0.1, res.plan}(arrays[0]); };
-        }
-        break;
-      }
-      case KernelId::kResid: {
-        const auto a = rt::kernels::nas_mg_a();
-        if (lvl != SimdLevel::kScalar && pool) {
-          step = [&, a, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::resid_tiled_rows_par(*pool, arrays[0], arrays[1],
-                                             arrays[2], a, tile, lvl);
-            } else {
-              rt::simd::resid_rows_par(*pool, arrays[0], arrays[1],
-                                       arrays[2], a, lvl);
-            }
-          };
-        } else if (lvl != SimdLevel::kScalar) {
-          step = [&, a, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::resid_tiled_rows(arrays[0], arrays[1], arrays[2], a,
-                                         tile, lvl);
-            } else {
-              rt::simd::resid_rows(arrays[0], arrays[1], arrays[2], a, lvl);
-            }
-          };
-        } else if (pool) {
-          step = [&, a, tiled, tile] {
-            if (tiled) {
-              rt::par::resid_tiled_par(*pool, arrays[0], arrays[1],
-                                       arrays[2], a, tile);
-            } else {
-              rt::par::resid_par(*pool, arrays[0], arrays[1], arrays[2], a);
-            }
-          };
-        } else {
-          step = [&] {
-            ResidStep{rt::kernels::nas_mg_a(), res.plan}(arrays[0], arrays[1],
-                                                         arrays[2]);
-          };
-        }
-        break;
-      }
-      case KernelId::kPsinv: {
-        const auto c = rt::multigrid::nas_mg_c();
-        if (lvl != SimdLevel::kScalar && pool) {
-          step = [&, c, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::psinv_tiled_rows_par(*pool, arrays[0], arrays[1], c,
-                                             tile, lvl);
-            } else {
-              rt::simd::psinv_rows_par(*pool, arrays[0], arrays[1], c, lvl);
-            }
-          };
-        } else if (lvl != SimdLevel::kScalar) {
-          step = [&, c, tiled, tile, lvl] {
-            if (tiled) {
-              rt::simd::psinv_tiled_rows(arrays[0], arrays[1], c, tile, lvl);
-            } else {
-              rt::simd::psinv_rows(arrays[0], arrays[1], c, lvl);
-            }
-          };
-        } else if (pool) {
-          step = [&, c, tiled, tile] {
-            if (tiled) {
-              rt::multigrid::psinv_tiled_par(*pool, arrays[0], arrays[1], c,
-                                             tile);
-            } else {
-              rt::multigrid::psinv_par(*pool, arrays[0], arrays[1], c);
-            }
-          };
-        } else {
-          step = [&] {
-            PsinvStep{rt::multigrid::nas_mg_c(), res.plan}(arrays[0],
-                                                           arrays[1]);
-          };
-        }
-        break;
-      }
-    }
-    time_host(step, fl_step, opts, res);
+    const ExecPolicy pol{pool.get(),
+                         rt::simd::exec_level(opts.simd, res.threads > 1)};
+    res.simd = pol.lvl;
+    time_host([&] { host_step(id, res.plan, arrays, pol); }, fl_step, opts,
+              res);
   }
 
   if (opts.verify != rt::guard::VerifyMode::kOff) {
@@ -497,6 +375,33 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
 }
 
 }  // namespace
+
+void host_step(KernelId id, const TilingPlan& plan,
+               std::vector<Array3D<double>>& a, const ExecPolicy& pol) {
+  const bool ref = pol.lvl == rt::simd::SimdLevel::kScalar;
+  switch (id) {
+    case KernelId::kJacobi: {
+      const JacobiStep s{.plan = plan};
+      ref ? s(a[0], a[1]) : s.exec(pol, a[0], a[1]);
+      return;
+    }
+    case KernelId::kRedBlack: {
+      const RedBlackStep s{.plan = plan};
+      ref ? s(a[0]) : s.exec(pol, a[0]);
+      return;
+    }
+    case KernelId::kResid: {
+      const ResidStep s{.plan = plan};
+      ref ? s(a[0], a[1], a[2]) : s.exec(pol, a[0], a[1], a[2]);
+      return;
+    }
+    case KernelId::kPsinv: {
+      const PsinvStep s{.plan = plan};
+      ref ? s(a[0], a[1]) : s.exec(pol, a[0], a[1]);
+      return;
+    }
+  }
+}
 
 RunResult run_kernel(KernelId id, Transform tr, long n, const RunOptions& opts) {
   // Through the PlanCache when the caller provides one (pinned autotuned

@@ -9,9 +9,11 @@
 //   * optional trace-driven execution against a CacheHierarchy, so the
 //     whole application's simulated cycles can be compared orig vs tiled;
 //   * a host fast path (threads/simd options): the V-cycle operators run
-//     through rt::par plane/tile decompositions and/or the rt::simd row
-//     kernels, bit-identical to the serial accessor operators for any
-//     thread count and SimdLevel (tests/mg_fastpath_test.cpp).  Per-level
+//     their rt::simd row sweeps through the executor (rt/simd/execute.hpp;
+//     K planes, or the resid plan's tile grid at the finest level) —
+//     bit-identical to the serial accessor operators for any thread count
+//     and SimdLevel (tests/mg_fastpath_test.cpp).  The accessor operators
+//     run when traced, or serially with simd off.  Per-level
 //     arrays are allocated uninitialized and zeroed plane-parallel on the
 //     pool, so on NUMA hosts each page is first touched — and therefore
 //     placed — by a thread that later sweeps it.
@@ -34,7 +36,7 @@
 #include "rt/obs/perf_counters.hpp"
 #include "rt/obs/phase_timer.hpp"
 #include "rt/par/thread_pool.hpp"
-#include "rt/simd/simd.hpp"
+#include "rt/simd/execute.hpp"
 
 namespace rt::multigrid {
 
@@ -64,7 +66,8 @@ struct MgOptions {
   /// traced operators always run serially.
   int threads = 1;
   /// Host fast path: SIMD row-kernel mode for the operators (kOff keeps
-  /// the historical accessor kernels).  Also ignored under simulation.
+  /// the accessor operators when serial; on a pool it runs the baseline
+  /// rows stamp).  Also ignored under simulation.
   rt::simd::SimdMode simd = rt::simd::SimdMode::kOff;
   /// Open a hardware-counter group around each iterate() /
   /// residual_norm() span (kAuto: only when the host permits
@@ -106,7 +109,8 @@ class MgSolver {
   /// Actual execution width of the operator sweeps (1 when serial or
   /// trace-driven).
   int threads() const { return pool_ ? pool_->num_threads() : 1; }
-  /// Resolved SIMD level of the fast path (kScalar when off or traced).
+  /// Resolved SIMD level of the fast path (kScalar when the accessor
+  /// operators run: traced, or serial with simd off).
   rt::simd::SimdLevel simd_level() const { return lvl_; }
 
   /// True when the counters option opened a usable hardware group.
@@ -128,12 +132,10 @@ class MgSolver {
   /// V-cycle on the residual hierarchy (NAS mg3P).
   void mg3p();
 
-  /// True when operators should use the par/simd implementations instead
-  /// of the (possibly traced) accessor kernels.
-  bool fast_path() const {
-    return hier_ == nullptr &&
-           (pool_ != nullptr || lvl_ != rt::simd::SimdLevel::kScalar);
-  }
+  /// True when operators run through the executor instead of the
+  /// (possibly traced) accessor kernels.
+  bool fast_path() const { return lvl_ != rt::simd::SimdLevel::kScalar; }
+  rt::simd::ExecPolicy exec() const { return {pool_.get(), lvl_}; }
   /// First-touch initialization: zero the whole allocation plane-parallel
   /// on the pool (same bytes Grid's default construction writes serially).
   void first_touch_zero(Grid& g);

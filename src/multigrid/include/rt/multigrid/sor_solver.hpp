@@ -12,11 +12,13 @@
 // f = 0; the general f term is folded in by pre-scaling (see .cpp).
 // Tiled and untiled runs are bitwise identical (tests assert it).
 //
-// Host fast path (threads/simd options): sweeps run the two-pass
-// colour-barrier schedule on a rt::par pool and/or the rt::simd row
-// kernels — still bit-identical to the serial kernels (the colour barrier
-// argument of rt/par/par_kernels.hpp).  Arrays are first-touch initialized
-// on the pool for NUMA placement.  Trace-driven runs stay serial.
+// Host fast path (threads/simd options): each colour of a sweep runs the
+// rt::simd red-black row sweep through the executor (rt/simd/execute.hpp;
+// K planes, or the plan's tile grid), on a pool when threads > 1 — still
+// bit-identical to the serial kernels (one executor call per colour is the
+// colour barrier).  The accessor kernels run when traced, or serially with
+// simd off.  Arrays are first-touch initialized on the pool for NUMA
+// placement.
 //
 // Plan validation: a plan whose pad (dip/djp) does not cover the logical
 // extent n cannot be applied; instead of silently clamping to unpadded
@@ -48,7 +50,8 @@ struct SorOptions {
   /// Host fast path: execution width of the sweeps (1 = serial, <= 0 =
   /// all hardware threads).  Ignored under trace-driven simulation.
   int threads = 1;
-  /// Host fast path: SIMD row-kernel mode (kOff keeps accessor kernels).
+  /// Host fast path: SIMD row-kernel mode (kOff keeps the accessor kernels
+  /// when serial; on a pool it runs the baseline rows stamp).
   rt::simd::SimdMode simd = rt::simd::SimdMode::kOff;
 };
 
@@ -80,7 +83,8 @@ class SorSolver {
 
   /// Actual execution width (1 when serial or trace-driven).
   int threads() const { return pool_ ? pool_->num_threads() : 1; }
-  /// Resolved SIMD level of the fast path (kScalar when off or traced).
+  /// Resolved SIMD level of the fast path (kScalar when the accessor
+  /// kernels run: traced, or serial with simd off).
   rt::simd::SimdLevel simd_level() const { return lvl_; }
 
   /// Wall-clock phase timings accumulated across all calls.

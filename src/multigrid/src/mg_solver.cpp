@@ -6,9 +6,7 @@
 #include <utility>
 
 #include "rt/cachesim/traced_array.hpp"
-#include "rt/multigrid/par_operators.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/execute.hpp"
 
 namespace rt::multigrid {
 
@@ -16,7 +14,8 @@ namespace {
 
 using Grid = rt::array::Array3D<double>;
 using GB = std::pair<Grid*, std::uint64_t>;
-using rt::simd::SimdLevel;
+using rt::core::TilingPlan;
+using rt::simd::Box;
 
 /// Run op(fn) over grids either natively or through traced accessors.
 template <class Fn, class... Gs>
@@ -60,7 +59,7 @@ MgSolver::MgSolver(const MgOptions& opts, rt::cachesim::CacheHierarchy* hier)
     if (opts.threads != 1) {
       pool_ = std::make_unique<rt::par::ThreadPool>(opts.threads);
     }
-    lvl_ = rt::simd::resolve(opts.simd);
+    lvl_ = rt::simd::exec_level(opts.simd, threads() > 1);
   }
   if (rt::obs::counters_enabled(opts.counters)) {
     pc_ = std::make_unique<rt::obs::PerfCounters>();
@@ -157,37 +156,21 @@ void MgSolver::zero3_grid(Grid& g) {
 }
 
 void MgSolver::resid_level(int l, Grid& r, Grid& v, Grid& u, bool allow_tile) {
-  const bool tile = allow_tile && l == opts_.lt && opts_.resid_plan.tiled;
+  const TilingPlan plan =
+      allow_tile && l == opts_.lt ? opts_.resid_plan : TilingPlan{};
   const auto a = rt::kernels::nas_mg_a();
-  const rt::core::IterTile t = opts_.resid_plan.tile;
   {
     rt::obs::ScopedTimer timer(phases_.resid);
     if (fast_path()) {
-      if (lvl_ != SimdLevel::kScalar && pool_) {
-        if (tile) {
-          rt::simd::resid_tiled_rows_par(*pool_, r, v, u, a, t, lvl_);
-        } else {
-          rt::simd::resid_rows_par(*pool_, r, v, u, a, lvl_);
-        }
-      } else if (lvl_ != SimdLevel::kScalar) {
-        if (tile) {
-          rt::simd::resid_tiled_rows(r, v, u, a, t, lvl_);
-        } else {
-          rt::simd::resid_rows(r, v, u, a, lvl_);
-        }
-      } else {
-        if (tile) {
-          rt::par::resid_tiled_par(*pool_, r, v, u, a, t);
-        } else {
-          rt::par::resid_par(*pool_, r, v, u, a);
-        }
-      }
+      rt::simd::execute(exec(), plan, r, [&](const Box& x) {
+        rt::simd::resid_sweep(r, v, u, a, x, lvl_);
+      });
     } else {
       run_op(
           hier_,
           [&](auto&& ra, auto&& va, auto&& ua) {
-            if (tile) {
-              rt::kernels::resid_tiled(ra, va, ua, a, t);
+            if (plan.tiled) {
+              rt::kernels::resid_tiled(ra, va, ua, a, plan.tile);
             } else {
               rt::kernels::resid(ra, va, ua, a);
             }
@@ -200,37 +183,21 @@ void MgSolver::resid_level(int l, Grid& r, Grid& v, Grid& u, bool allow_tile) {
 }
 
 void MgSolver::psinv_level(int l, Grid& u, Grid& r) {
-  const bool tile = opts_.tile_psinv && l == opts_.lt && opts_.resid_plan.tiled;
+  const TilingPlan plan =
+      opts_.tile_psinv && l == opts_.lt ? opts_.resid_plan : TilingPlan{};
   const auto c = nas_mg_c();
-  const rt::core::IterTile t = opts_.resid_plan.tile;
   {
     rt::obs::ScopedTimer timer(phases_.psinv);
     if (fast_path()) {
-      if (lvl_ != SimdLevel::kScalar && pool_) {
-        if (tile) {
-          rt::simd::psinv_tiled_rows_par(*pool_, u, r, c, t, lvl_);
-        } else {
-          rt::simd::psinv_rows_par(*pool_, u, r, c, lvl_);
-        }
-      } else if (lvl_ != SimdLevel::kScalar) {
-        if (tile) {
-          rt::simd::psinv_tiled_rows(u, r, c, t, lvl_);
-        } else {
-          rt::simd::psinv_rows(u, r, c, lvl_);
-        }
-      } else {
-        if (tile) {
-          psinv_tiled_par(*pool_, u, r, c, t);
-        } else {
-          psinv_par(*pool_, u, r, c);
-        }
-      }
+      rt::simd::execute(exec(), plan, u, [&](const Box& x) {
+        rt::simd::psinv_sweep(u, r, c, x, lvl_);
+      });
     } else {
       run_op(
           hier_,
           [&](auto&& ua, auto&& ra) {
-            if (tile) {
-              psinv_tiled(ua, ra, c, t);
+            if (plan.tiled) {
+              psinv_tiled(ua, ra, c, plan.tile);
             } else {
               psinv(ua, ra, c);
             }
@@ -246,13 +213,9 @@ void MgSolver::rprj3_level(Grid& coarse, Grid& fine) {
   {
     rt::obs::ScopedTimer timer(phases_.rprj3);
     if (fast_path()) {
-      if (lvl_ != SimdLevel::kScalar && pool_) {
-        rt::simd::rprj3_rows_par(*pool_, coarse, fine, lvl_);
-      } else if (lvl_ != SimdLevel::kScalar) {
-        rt::simd::rprj3_rows(coarse, fine, lvl_);
-      } else {
-        rprj3_par(*pool_, coarse, fine);
-      }
+      rt::simd::execute(exec(), TilingPlan{}, coarse, [&](const Box& x) {
+        rt::simd::rprj3_sweep(coarse, fine, x, lvl_);
+      });
     } else {
       run_op(hier_, [](auto&& s, auto&& r) { rprj3(s, r); },
              GB{&coarse, base_of(coarse)}, GB{&fine, base_of(fine)});
@@ -266,13 +229,9 @@ void MgSolver::interp_level(Grid& fine, Grid& coarse) {
   {
     rt::obs::ScopedTimer timer(phases_.interp);
     if (fast_path()) {
-      if (lvl_ != SimdLevel::kScalar && pool_) {
-        rt::simd::interp_add_rows_par(*pool_, fine, coarse, lvl_);
-      } else if (lvl_ != SimdLevel::kScalar) {
-        rt::simd::interp_add_rows(fine, coarse, lvl_);
-      } else {
-        interp_add_par(*pool_, fine, coarse);
-      }
+      rt::simd::execute(exec(), TilingPlan{}, fine, [&](const Box& x) {
+        rt::simd::interp_sweep(fine, coarse, x, lvl_);
+      });
     } else {
       run_op(hier_, [](auto&& u, auto&& z) { interp_add(u, z); },
              GB{&fine, base_of(fine)}, GB{&coarse, base_of(coarse)});

@@ -7,9 +7,7 @@
 #include "rt/array/address_space.hpp"
 #include "rt/cachesim/traced_array.hpp"
 #include "rt/kernels/redblack.hpp"
-#include "rt/par/par_kernels.hpp"
-#include "rt/simd/par_rows.hpp"
-#include "rt/simd/row_kernels.hpp"
+#include "rt/simd/execute.hpp"
 
 namespace rt::multigrid {
 
@@ -36,7 +34,7 @@ SorSolver::SorSolver(const SorOptions& opts,
     if (opts.threads != 1) {
       pool_ = std::make_unique<rt::par::ThreadPool>(opts.threads);
     }
-    lvl_ = rt::simd::resolve(opts.simd);
+    lvl_ = rt::simd::exec_level(opts.simd, threads() > 1);
   }
   const long n = opts.n;
   rt::array::Dims3 d = rt::array::Dims3::unpadded(n, n, n);
@@ -119,40 +117,28 @@ void SorSolver::sweep() {
   const double c2 = opts_.omega / 6.0;
   {
     rt::obs::ScopedTimer timer(phases_.sweep);
-    if (hier_) {
-      rt::cachesim::TracedArray3D<double> tu(u_, u_base_, *hier_);
-      rt::cachesim::TracedArray3D<double> tr(rhs_, rhs_base_, *hier_);
-      if (opts_.plan.tiled) {
-        rt::kernels::redblack_tiled_rhs(tu, tr, c1, c2, opts_.plan.tile);
-      } else {
-        rt::kernels::redblack_naive_rhs(tu, tr, c1, c2);
-      }
-    } else if (lvl_ != rt::simd::SimdLevel::kScalar && pool_) {
-      if (opts_.plan.tiled) {
-        rt::simd::redblack_tiled_rhs_rows_par(*pool_, u_, rhs_, c1, c2,
-                                              opts_.plan.tile, lvl_);
-      } else {
-        rt::simd::redblack_rhs_rows_par(*pool_, u_, rhs_, c1, c2, lvl_);
-      }
-    } else if (lvl_ != rt::simd::SimdLevel::kScalar) {
-      if (opts_.plan.tiled) {
-        rt::simd::redblack_tiled_rhs_rows(u_, rhs_, c1, c2, opts_.plan.tile,
-                                          lvl_);
-      } else {
-        rt::simd::redblack_rhs_rows(u_, rhs_, c1, c2, lvl_);
-      }
-    } else if (pool_) {
-      if (opts_.plan.tiled) {
-        rt::par::redblack_tiled_rhs_par(*pool_, u_, rhs_, c1, c2,
-                                        opts_.plan.tile);
-      } else {
-        rt::par::redblack_rhs_par(*pool_, u_, rhs_, c1, c2);
+    if (lvl_ != rt::simd::SimdLevel::kScalar) {
+      for (long parity = 0; parity < 2; ++parity) {
+        rt::simd::execute({pool_.get(), lvl_}, opts_.plan, u_,
+                          [&](const rt::simd::Box& x) {
+                            rt::simd::redblack_rhs_sweep(u_, rhs_, c1, c2,
+                                                         parity, x, lvl_);
+                          });
       }
     } else {
-      if (opts_.plan.tiled) {
-        rt::kernels::redblack_tiled_rhs(u_, rhs_, c1, c2, opts_.plan.tile);
+      const auto reference = [&](auto&& u, auto&& rhs) {
+        if (opts_.plan.tiled) {
+          rt::kernels::redblack_tiled_rhs(u, rhs, c1, c2, opts_.plan.tile);
+        } else {
+          rt::kernels::redblack_naive_rhs(u, rhs, c1, c2);
+        }
+      };
+      if (hier_) {
+        reference(rt::cachesim::TracedArray3D<double>(u_, u_base_, *hier_),
+                  rt::cachesim::TracedArray3D<double>(rhs_, rhs_base_,
+                                                      *hier_));
       } else {
-        rt::kernels::redblack_naive_rhs(u_, rhs_, c1, c2);
+        reference(u_, rhs_);
       }
     }
   }

@@ -1,6 +1,6 @@
 #pragma once
-// Small reusable thread pool with a fork-join `parallel_for`, the executor
-// underneath the parallel tiled kernels (rt/par/par_kernels.hpp).
+// Small reusable thread pool with a fork-join `parallel_for`: the work
+// distributor underneath the host executor (rt/simd/execute.hpp).
 //
 // Design constraints, in order:
 //  * deterministic results — work items must write disjoint data, so any
@@ -12,7 +12,7 @@
 //    single-threaded execution is bit-for-bit and trace-for-trace identical
 //    to the serial kernels;
 //  * `parallel_for` is a barrier: it returns only after every index has
-//    completed, which is what gives the parallel kernels their inter-sweep
+//    completed, which is what gives the executor its inter-sweep
 //    ordering guarantees (e.g. red before black);
 //  * concurrent entry is safe: a multi-tenant caller (rt::serve request
 //    threads sharing one pool) may call `parallel_for` from many threads at

@@ -76,6 +76,7 @@
 #include "rt/serve/arena.hpp"
 #include "rt/serve/protocol.hpp"
 #include "rt/serve/solve.hpp"
+#include "rt/simd/simd.hpp"
 
 namespace rt::serve {
 
@@ -182,6 +183,10 @@ class Server {
 
   rt::core::PlanCache cache_;
   BufferArena arena_;
+  /// SimdMode::kAuto resolved once for this host: the row-sweep level every
+  /// kernel batch and app solve runs at (reported by the stats op).
+  const rt::simd::SimdLevel simd_lvl_ =
+      rt::simd::resolve(rt::simd::SimdMode::kAuto);
   /// Shared solver pool for batches WITHOUT a deadline (deadline batches
   /// build their own pool inside the owned context — see file header).
   std::unique_ptr<rt::par::ThreadPool> pool_;

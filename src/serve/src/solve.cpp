@@ -6,13 +6,11 @@
 
 #include "rt/core/cache_topology.hpp"
 #include "rt/guard/fault_injector.hpp"
-#include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/mg_solver.hpp"
 #include "rt/multigrid/sor_solver.hpp"
-#include "rt/par/par_kernels.hpp"
+#include "rt/simd/execute.hpp"
 
 namespace rt::serve {
 
@@ -22,6 +20,8 @@ using rt::array::Array3D;
 using rt::array::Dims3;
 using rt::core::TilingPlan;
 using rt::guard::Status;
+using rt::simd::Box;
+using rt::simd::SimdLevel;
 
 /// The runner's deterministic grid init, replicated bit-for-bit (tests
 /// compare served checksums against grids initialized by this formula and
@@ -80,7 +80,10 @@ SolveOutcome solve_kernels(const SolveParams& p, const TilingPlan& plan,
   for (int i = 0; i < want; ++i) {
     init_grid(arrays[static_cast<std::size_t>(i)], 1.0 / (1.0 + i), pool);
   }
-  const bool par = pool != nullptr && pool->num_threads() > 1;
+  // The row sweeps through the executor, on the pool when there is one;
+  // serve is never traced, so the accessor reference never runs here.
+  const SimdLevel lvl = rt::simd::resolve(rt::simd::SimdMode::kAuto);
+  const rt::simd::ExecPolicy pol{pool, lvl};
 
   switch (p.kernel) {
     case ServeKernel::kJacobi: {
@@ -89,21 +92,12 @@ SolveOutcome solve_kernels(const SolveParams& p, const TilingPlan& plan,
       Array3D<double>& b = arrays[1];
       for (int t = 0; t < p.tsteps; ++t) {
         hang_check();
-        if (par) {
-          if (plan.tiled) {
-            rt::par::jacobi3d_tiled_par(*pool, a, b, c, plan.tile);
-          } else {
-            rt::par::jacobi3d_par(*pool, a, b, c);
-          }
-          rt::par::copy_interior_par(*pool, b, a);
-        } else {
-          if (plan.tiled) {
-            rt::kernels::jacobi3d_tiled(a, b, c, plan.tile);
-          } else {
-            rt::kernels::jacobi3d(a, b, c);
-          }
-          rt::kernels::copy_interior(b, a);
-        }
+        rt::simd::execute(pol, plan, a, [&](const Box& x) {
+          rt::simd::jacobi_sweep(a, b, c, x, lvl);
+        });
+        rt::simd::execute(pol, TilingPlan{}, b, [&](const Box& x) {
+          rt::simd::copy_sweep(b, a, x, lvl);
+        });
       }
       break;
     }
@@ -112,18 +106,10 @@ SolveOutcome solve_kernels(const SolveParams& p, const TilingPlan& plan,
       Array3D<double>& a = arrays[0];
       for (int t = 0; t < p.tsteps; ++t) {
         hang_check();
-        if (par) {
-          if (plan.tiled) {
-            rt::par::redblack_tiled_par(*pool, a, c1, c2, plan.tile);
-          } else {
-            rt::par::redblack_par(*pool, a, c1, c2);
-          }
-        } else {
-          if (plan.tiled) {
-            rt::kernels::redblack_tiled(a, c1, c2, plan.tile);
-          } else {
-            rt::kernels::redblack_naive(a, c1, c2);
-          }
+        for (long parity = 0; parity < 2; ++parity) {
+          rt::simd::execute(pol, plan, a, [&](const Box& x) {
+            rt::simd::redblack_sweep(a, c1, c2, parity, x, lvl);
+          });
         }
       }
       break;
@@ -135,19 +121,9 @@ SolveOutcome solve_kernels(const SolveParams& p, const TilingPlan& plan,
       Array3D<double>& u = arrays[2];
       for (int t = 0; t < p.tsteps; ++t) {
         hang_check();
-        if (par) {
-          if (plan.tiled) {
-            rt::par::resid_tiled_par(*pool, r, v, u, a, plan.tile);
-          } else {
-            rt::par::resid_par(*pool, r, v, u, a);
-          }
-        } else {
-          if (plan.tiled) {
-            rt::kernels::resid_tiled(r, v, u, a, plan.tile);
-          } else {
-            rt::kernels::resid(r, v, u, a);
-          }
-        }
+        rt::simd::execute(pol, plan, r, [&](const Box& x) {
+          rt::simd::resid_sweep(r, v, u, a, x, lvl);
+        });
       }
       break;
     }
@@ -183,6 +159,7 @@ SolveOutcome solve_mgrid(const SolveParams& p, const TilingPlan& plan,
   mo.resid_plan = plan;
   mo.seed = p.seed;
   mo.threads = app_threads;
+  mo.simd = rt::simd::SimdMode::kAuto;
   hang_check();
   rt::multigrid::MgSolver solver(mo);
   solver.setup();
@@ -216,6 +193,7 @@ SolveOutcome solve_sor(const SolveParams& p, const TilingPlan& plan,
   so.n = p.n;
   so.plan = plan;
   so.threads = app_threads;
+  so.simd = rt::simd::SimdMode::kAuto;
   hang_check();
   rt::multigrid::SorSolver solver(so);
   solver.setup(p.seed);

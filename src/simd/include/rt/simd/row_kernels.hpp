@@ -10,12 +10,12 @@
 // the column-major Array3D, so the compiler auto-vectorizes it; because
 // vectorizing across I preserves each element's own operation order, the
 // results are bit-identical to the accessor kernels for every SimdLevel
-// (asserted exhaustively by tests/simd_kernels_test.cpp).
+// (asserted exhaustively by tests/exec_identity_test.cpp).
 //
 // Two ISA instantiations of every sweep are compiled (baseline, and a
 // target("avx2") clone on x86); SimdLevel picks one at run time, so no
 // global -mavx2 build flag is needed.  Building with -DRT_SIMD_AVX2=ON
-// additionally swaps the Jacobi/copy AVX2 sweeps for hand-written
+// additionally swaps the Jacobi AVX2 sweep for hand-written
 // intrinsics (same left-associated add chain, still bit-identical).
 //
 // Aliasing contract: destination and source arrays must be distinct
@@ -24,130 +24,66 @@
 // guarantees the written row is disjoint from the neighbour rows read
 // through other pointers.
 //
-// The *_sweep functions cover the interior sub-box [ilo,ihi) x [jlo,jhi)
-// x [klo,khi); they are the composition point with rt::par — each
-// parallel tile or plane work item calls one sweep (rt/simd/par_rows.hpp).
+// Each *_sweep covers one Box of the interior; it is the per-block body
+// the executor (rt/simd/execute.hpp) hands every tile or plane of a plan's
+// schedule to.  These eight sweeps are the only host definitions of
+// JACOBI, copy, REDBLACK, REDBLACK+rhs, RESID, PSINV, RPRJ3 and INTERP.
 
 #include <array>
 
 #include "rt/array/array3d.hpp"
-#include "rt/core/cost.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/simd/simd.hpp"
 
 namespace rt::simd {
 
 using rt::array::Array3D;
-using rt::core::IterTile;
 
 /// Smoother coefficients in rt::multigrid::SmootherCoeffs layout (centre,
 /// faces, edges, corners) — duplicated as a plain array type so rt::simd
 /// stays below rt::multigrid in the layering.
 using PsinvCoeffs = std::array<double, 4>;
 
-// --- Mid-level sweeps over an interior sub-box (par composition unit) ---
+/// Interior sub-box [ilo,ihi) x [jlo,jhi) x [klo,khi) of the grid a sweep
+/// writes.  An empty range in any dimension sweeps nothing.
+struct Box {
+  long ilo, ihi, jlo, jhi, klo, khi;
+};
 
 /// a(i,j,k) = c * (six face neighbours of b); a and b share dims.
 void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
-                  long ilo, long ihi, long jlo, long jhi, long klo, long khi,
-                  SimdLevel lvl);
+                  const Box& x, SimdLevel lvl);
 
 /// dst = src over the box.
-void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
-                long ihi, long jlo, long jhi, long klo, long khi,
-                SimdLevel lvl);
+void copy_sweep(Array3D<double>& dst, const Array3D<double>& src,
+                const Box& x, SimdLevel lvl);
 
 /// One colour of red-black SOR over the box ((i+j+k) % 2 == parity).
 void redblack_sweep(Array3D<double>& a, double c1, double c2, long parity,
-                    long ilo, long ihi, long jlo, long jhi, long klo,
-                    long khi, SimdLevel lvl);
+                    const Box& x, SimdLevel lvl);
 
 /// r = v - A u (27-point RESID) over the box; r, v, u share dims.
 void resid_sweep(Array3D<double>& r, const Array3D<double>& v,
                  const Array3D<double>& u, const rt::kernels::ResidCoeffs& a,
-                 long ilo, long ihi, long jlo, long jhi, long klo, long khi,
-                 SimdLevel lvl);
+                 const Box& x, SimdLevel lvl);
 
 /// One colour of red-black SOR with a constant term (rb_update_rhs):
 /// a <- c1 a + c2 (6 neighbours) + r.  a and r share dims.
 void redblack_rhs_sweep(Array3D<double>& a, const Array3D<double>& r,
-                        double c1, double c2, long parity, long ilo, long ihi,
-                        long jlo, long jhi, long klo, long khi, SimdLevel lvl);
+                        double c1, double c2, long parity, const Box& x,
+                        SimdLevel lvl);
 
 /// u += S r (27-point NAS MG smoother) over the box; u and r share dims.
 void psinv_sweep(Array3D<double>& u, const Array3D<double>& r,
-                 const PsinvCoeffs& c, long ilo, long ihi, long jlo, long jhi,
-                 long klo, long khi, SimdLevel lvl);
+                 const PsinvCoeffs& c, const Box& x, SimdLevel lvl);
 
-/// Full-weighting restriction over the *coarse* sub-box [j1lo,j1hi) x
-/// [j2lo,j2hi) x [j3lo,j3hi): s(j1,j2,j3) from fine r around i = 2j - 1.
-void rprj3_sweep(Array3D<double>& s, const Array3D<double>& r, long j1lo,
-                 long j1hi, long j2lo, long j2hi, long j3lo, long j3hi,
+/// Full-weighting restriction over a box of the *coarse* grid s: s(j1,j2,j3)
+/// from fine r around i = 2j - 1 (dims may differ in padding).
+void rprj3_sweep(Array3D<double>& s, const Array3D<double>& r, const Box& x,
                  SimdLevel lvl);
 
-/// Trilinear prolongation u += P z over the *fine* sub-box.
-void interp_sweep(Array3D<double>& u, const Array3D<double>& z, long ilo,
-                  long ihi, long jlo, long jhi, long klo, long khi,
+/// Trilinear prolongation u += P z over a box of the *fine* grid u.
+void interp_sweep(Array3D<double>& u, const Array3D<double>& z, const Box& x,
                   SimdLevel lvl);
-
-// --- Full kernels, bit-identical to their rt::kernels counterparts ---
-
-/// == rt::kernels::jacobi3d.
-void jacobi3d_rows(Array3D<double>& a, const Array3D<double>& b, double c,
-                   SimdLevel lvl);
-
-/// == rt::kernels::jacobi3d_tiled (same jj-outer / ii-inner tile walk).
-void jacobi3d_tiled_rows(Array3D<double>& a, const Array3D<double>& b,
-                         double c, IterTile t, SimdLevel lvl);
-
-/// == rt::kernels::copy_interior.
-void copy_interior_rows(Array3D<double>& dst, const Array3D<double>& src,
-                        SimdLevel lvl);
-
-/// == rt::kernels::redblack_naive (two-pass colour schedule).
-void redblack_rows(Array3D<double>& a, double c1, double c2, SimdLevel lvl);
-
-/// Tiled two-pass red-black over the JI tile grid.  Uses the same
-/// colour-barrier schedule as rt::par::redblack_tiled_par, which is
-/// bit-identical to redblack_naive *and* to the serial fused
-/// redblack_tiled (within one colour no update reads same-colour values).
-void redblack_tiled_rows(Array3D<double>& a, double c1, double c2, IterTile t,
-                         SimdLevel lvl);
-
-/// == rt::kernels::resid.
-void resid_rows(Array3D<double>& r, const Array3D<double>& v,
-                const Array3D<double>& u, const rt::kernels::ResidCoeffs& a,
-                SimdLevel lvl);
-
-/// == rt::kernels::resid_tiled.
-void resid_tiled_rows(Array3D<double>& r, const Array3D<double>& v,
-                      const Array3D<double>& u,
-                      const rt::kernels::ResidCoeffs& a, IterTile t,
-                      SimdLevel lvl);
-
-/// == rt::kernels::redblack_naive_rhs (two-pass colour schedule).
-void redblack_rhs_rows(Array3D<double>& a, const Array3D<double>& r,
-                       double c1, double c2, SimdLevel lvl);
-
-/// Tiled two-pass red-black with constant term over the JI tile grid
-/// (colour barrier between passes; bit-identical to redblack_naive_rhs
-/// and to the serial fused redblack_tiled_rhs).
-void redblack_tiled_rhs_rows(Array3D<double>& a, const Array3D<double>& r,
-                             double c1, double c2, IterTile t, SimdLevel lvl);
-
-/// == rt::multigrid::psinv.
-void psinv_rows(Array3D<double>& u, const Array3D<double>& r,
-                const PsinvCoeffs& c, SimdLevel lvl);
-
-/// == rt::multigrid::psinv_tiled (same jj-outer / ii-inner tile walk).
-void psinv_tiled_rows(Array3D<double>& u, const Array3D<double>& r,
-                      const PsinvCoeffs& c, IterTile t, SimdLevel lvl);
-
-/// == rt::multigrid::rprj3 (s coarse, r fine; dims may differ in padding).
-void rprj3_rows(Array3D<double>& s, const Array3D<double>& r, SimdLevel lvl);
-
-/// == rt::multigrid::interp_add (u fine, z coarse).
-void interp_add_rows(Array3D<double>& u, const Array3D<double>& z,
-                     SimdLevel lvl);
 
 }  // namespace rt::simd

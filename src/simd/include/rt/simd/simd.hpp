@@ -10,11 +10,13 @@
 // contiguous restrict-qualified rows it can vectorize.  Vectorizing
 // across I keeps each element's floating-point operation order unchanged,
 // so every level below computes *bit-identical* results to the accessor
-// kernels (tests/simd_kernels_test.cpp asserts it across a shape sweep).
+// kernels (tests/exec_identity_test.cpp asserts it across a shape sweep).
 //
 // Mode (requested, a CLI-level knob) vs Level (resolved, what actually
 // runs):
-//   --simd=off   -> kScalar : accessor kernels, the historical path
+//   --simd=off   -> kScalar : the serial accessor kernels, the reference;
+//                   on a thread pool kRows (exec_level), because the
+//                   executor (rt/simd/execute.hpp) only runs row sweeps
 //   --simd=auto  -> kAvx2 when the host supports AVX2, else kRows
 //   --simd=avx2  -> kAvx2, falling back to kRows off-x86 / pre-AVX2
 // kRows is portable C++ (restrict rows + `#pragma omp simd` hint, baseline
@@ -29,14 +31,15 @@ namespace rt::simd {
 
 /// Requested SIMD behaviour (the --simd= flag).
 enum class SimdMode {
-  kOff,   ///< accessor kernels only
+  kOff,   ///< accessor kernels (serial); baseline rows on a pool
   kAuto,  ///< best level this host supports
   kAvx2,  ///< force the AVX2 path (falls back to kRows if unsupported)
 };
 
-/// Resolved execution level of the row kernels.
+/// Resolved execution level of the row kernels, lowest to highest (a run
+/// below its requested level is degraded; see RunResult::degraded()).
 enum class SimdLevel {
-  kScalar,  ///< not using row kernels at all
+  kScalar,  ///< the serial accessor kernels, no row sweeps
   kRows,    ///< row sweeps, baseline ISA auto-vectorization
   kAvx2,    ///< row sweeps compiled for AVX2, runtime-dispatched
 };
@@ -50,6 +53,11 @@ bool avx2_supported();
 
 /// Map a requested mode to the level that will actually run on this host.
 SimdLevel resolve(SimdMode mode);
+
+/// The level a host run executes at: resolve(mode), except that kOff on
+/// more than one thread runs the baseline rows stamp (kRows) — the
+/// accessor reference is serial only.  What a run reports as its level.
+SimdLevel exec_level(SimdMode mode, bool pooled);
 
 const char* simd_mode_name(SimdMode m);
 const char* simd_level_name(SimdLevel l);

@@ -83,270 +83,89 @@ bool run_avx2(SimdLevel lvl) {
 
 }  // namespace
 
+// Each public sweep unpacks its arrays to raw pointers and strides and
+// runs the AVX2 stamp when requested and executable, else the baseline.
+#if RT_SIMD_X86
+#define RT_SIMD_DISPATCH(name, ...)       \
+  if (run_avx2(lvl)) {                    \
+    RT_SIMD_CAT(name, avx2)(__VA_ARGS__); \
+    return;                               \
+  }                                       \
+  RT_SIMD_CAT(name, base)(__VA_ARGS__)
+#else
+#define RT_SIMD_DISPATCH(name, ...) \
+  (void)lvl;                        \
+  RT_SIMD_CAT(name, base)(__VA_ARGS__)
+#endif
+#define RT_SIMD_BOX x.ilo, x.ihi, x.jlo, x.jhi, x.klo, x.khi
+
 void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,
-                  long ilo, long ihi, long jlo, long jhi, long klo, long khi,
-                  SimdLevel lvl) {
+                  const Box& x, SimdLevel lvl) {
   assert(a.dims() == b.dims());
   const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
-#if RT_SIMD_X86
+#if RT_SIMD_X86 && defined(RT_SIMD_AVX2)
   if (run_avx2(lvl)) {
-#ifdef RT_SIMD_AVX2
-    jacobi_sweep_intrin(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo, jhi,
-                        klo, khi);
-#else
-    jacobi_sweep_avx2(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo, jhi, klo,
-                      khi);
-#endif
+    jacobi_sweep_intrin(a.data(), b.data(), s1, s2, c, RT_SIMD_BOX);
     return;
   }
 #endif
-  (void)lvl;
-  jacobi_sweep_base(a.data(), b.data(), s1, s2, c, ilo, ihi, jlo, jhi, klo,
-                    khi);
+  RT_SIMD_DISPATCH(jacobi_sweep, a.data(), b.data(), s1, s2, c, RT_SIMD_BOX);
 }
 
-void copy_sweep(Array3D<double>& dst, const Array3D<double>& src, long ilo,
-                long ihi, long jlo, long jhi, long klo, long khi,
-                SimdLevel lvl) {
+void copy_sweep(Array3D<double>& dst, const Array3D<double>& src,
+                const Box& x, SimdLevel lvl) {
   assert(dst.dims() == src.dims());
   const long s1 = dst.dims().column_stride(), s2 = dst.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    copy_sweep_avx2(dst.data(), src.data(), s1, s2, ilo, ihi, jlo, jhi, klo,
-                    khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  copy_sweep_base(dst.data(), src.data(), s1, s2, ilo, ihi, jlo, jhi, klo,
-                  khi);
+  RT_SIMD_DISPATCH(copy_sweep, dst.data(), src.data(), s1, s2, RT_SIMD_BOX);
 }
 
 void redblack_sweep(Array3D<double>& a, double c1, double c2, long parity,
-                    long ilo, long ihi, long jlo, long jhi, long klo,
-                    long khi, SimdLevel lvl) {
+                    const Box& x, SimdLevel lvl) {
   const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    redblack_sweep_avx2(a.data(), s1, s2, c1, c2, parity, ilo, ihi, jlo, jhi,
-                        klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  redblack_sweep_base(a.data(), s1, s2, c1, c2, parity, ilo, ihi, jlo, jhi,
-                      klo, khi);
+  RT_SIMD_DISPATCH(redblack_sweep, a.data(), s1, s2, c1, c2, parity,
+                   RT_SIMD_BOX);
 }
 
 void resid_sweep(Array3D<double>& r, const Array3D<double>& v,
                  const Array3D<double>& u, const rt::kernels::ResidCoeffs& a,
-                 long ilo, long ihi, long jlo, long jhi, long klo, long khi,
-                 SimdLevel lvl) {
+                 const Box& x, SimdLevel lvl) {
   assert(r.dims() == v.dims() && r.dims() == u.dims());
   const long s1 = r.dims().column_stride(), s2 = r.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    resid_sweep_avx2(r.data(), v.data(), u.data(), s1, s2, a[0], a[1], a[2],
-                     a[3], ilo, ihi, jlo, jhi, klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  resid_sweep_base(r.data(), v.data(), u.data(), s1, s2, a[0], a[1], a[2],
-                   a[3], ilo, ihi, jlo, jhi, klo, khi);
+  RT_SIMD_DISPATCH(resid_sweep, r.data(), v.data(), u.data(), s1, s2, a[0],
+                   a[1], a[2], a[3], RT_SIMD_BOX);
 }
 
 void redblack_rhs_sweep(Array3D<double>& a, const Array3D<double>& r,
-                        double c1, double c2, long parity, long ilo, long ihi,
-                        long jlo, long jhi, long klo, long khi,
+                        double c1, double c2, long parity, const Box& x,
                         SimdLevel lvl) {
   assert(a.dims() == r.dims());
   const long s1 = a.dims().column_stride(), s2 = a.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    redblack_rhs_sweep_avx2(a.data(), r.data(), s1, s2, c1, c2, parity, ilo,
-                            ihi, jlo, jhi, klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  redblack_rhs_sweep_base(a.data(), r.data(), s1, s2, c1, c2, parity, ilo,
-                          ihi, jlo, jhi, klo, khi);
+  RT_SIMD_DISPATCH(redblack_rhs_sweep, a.data(), r.data(), s1, s2, c1, c2,
+                   parity, RT_SIMD_BOX);
 }
 
 void psinv_sweep(Array3D<double>& u, const Array3D<double>& r,
-                 const PsinvCoeffs& c, long ilo, long ihi, long jlo, long jhi,
-                 long klo, long khi, SimdLevel lvl) {
+                 const PsinvCoeffs& c, const Box& x, SimdLevel lvl) {
   assert(u.dims() == r.dims());
   const long s1 = u.dims().column_stride(), s2 = u.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    psinv_sweep_avx2(u.data(), r.data(), s1, s2, c[0], c[1], c[2], c[3], ilo,
-                     ihi, jlo, jhi, klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  psinv_sweep_base(u.data(), r.data(), s1, s2, c[0], c[1], c[2], c[3], ilo,
-                   ihi, jlo, jhi, klo, khi);
+  RT_SIMD_DISPATCH(psinv_sweep, u.data(), r.data(), s1, s2, c[0], c[1], c[2],
+                   c[3], RT_SIMD_BOX);
 }
 
-void rprj3_sweep(Array3D<double>& s, const Array3D<double>& r, long j1lo,
-                 long j1hi, long j2lo, long j2hi, long j3lo, long j3hi,
+void rprj3_sweep(Array3D<double>& s, const Array3D<double>& r, const Box& x,
                  SimdLevel lvl) {
   const long cs1 = s.dims().column_stride(), cs2 = s.dims().plane_stride();
   const long fs1 = r.dims().column_stride(), fs2 = r.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    rprj3_sweep_avx2(s.data(), r.data(), cs1, cs2, fs1, fs2, j1lo, j1hi,
-                     j2lo, j2hi, j3lo, j3hi);
-    return;
-  }
-#endif
-  (void)lvl;
-  rprj3_sweep_base(s.data(), r.data(), cs1, cs2, fs1, fs2, j1lo, j1hi, j2lo,
-                   j2hi, j3lo, j3hi);
+  RT_SIMD_DISPATCH(rprj3_sweep, s.data(), r.data(), cs1, cs2, fs1, fs2,
+                   RT_SIMD_BOX);
 }
 
-void interp_sweep(Array3D<double>& u, const Array3D<double>& z, long ilo,
-                  long ihi, long jlo, long jhi, long klo, long khi,
+void interp_sweep(Array3D<double>& u, const Array3D<double>& z, const Box& x,
                   SimdLevel lvl) {
   const long us1 = u.dims().column_stride(), us2 = u.dims().plane_stride();
   const long zs1 = z.dims().column_stride(), zs2 = z.dims().plane_stride();
-#if RT_SIMD_X86
-  if (run_avx2(lvl)) {
-    interp_sweep_avx2(u.data(), z.data(), us1, us2, zs1, zs2, ilo, ihi, jlo,
-                      jhi, klo, khi);
-    return;
-  }
-#endif
-  (void)lvl;
-  interp_sweep_base(u.data(), z.data(), us1, us2, zs1, zs2, ilo, ihi, jlo,
-                    jhi, klo, khi);
-}
-
-void jacobi3d_rows(Array3D<double>& a, const Array3D<double>& b, double c,
-                   SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  jacobi_sweep(a, b, c, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-}
-
-void jacobi3d_tiled_rows(Array3D<double>& a, const Array3D<double>& b,
-                         double c, IterTile t, SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-    const long jhi = std::min(jj + t.tj, n2 - 1);
-    for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-      const long ihi = std::min(ii + t.ti, n1 - 1);
-      jacobi_sweep(a, b, c, ii, ihi, jj, jhi, 1, n3 - 1, lvl);
-    }
-  }
-}
-
-void copy_interior_rows(Array3D<double>& dst, const Array3D<double>& src,
-                        SimdLevel lvl) {
-  const long n1 = dst.n1(), n2 = dst.n2(), n3 = dst.n3();
-  copy_sweep(dst, src, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-}
-
-void redblack_rows(Array3D<double>& a, double c1, double c2, SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  for (long parity = 0; parity < 2; ++parity) {
-    redblack_sweep(a, c1, c2, parity, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-  }
-}
-
-void redblack_tiled_rows(Array3D<double>& a, double c1, double c2, IterTile t,
-                         SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long parity = 0; parity < 2; ++parity) {
-    for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-      const long jhi = std::min(jj + t.tj, n2 - 1);
-      for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-        const long ihi = std::min(ii + t.ti, n1 - 1);
-        redblack_sweep(a, c1, c2, parity, ii, ihi, jj, jhi, 1, n3 - 1, lvl);
-      }
-    }
-  }
-}
-
-void resid_rows(Array3D<double>& r, const Array3D<double>& v,
-                const Array3D<double>& u, const rt::kernels::ResidCoeffs& a,
-                SimdLevel lvl) {
-  const long n1 = r.n1(), n2 = r.n2(), n3 = r.n3();
-  resid_sweep(r, v, u, a, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-}
-
-void resid_tiled_rows(Array3D<double>& r, const Array3D<double>& v,
-                      const Array3D<double>& u,
-                      const rt::kernels::ResidCoeffs& a, IterTile t,
-                      SimdLevel lvl) {
-  const long n1 = r.n1(), n2 = r.n2(), n3 = r.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-    const long jhi = std::min(jj + t.tj, n2 - 1);
-    for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-      const long ihi = std::min(ii + t.ti, n1 - 1);
-      resid_sweep(r, v, u, a, ii, ihi, jj, jhi, 1, n3 - 1, lvl);
-    }
-  }
-}
-
-void redblack_rhs_rows(Array3D<double>& a, const Array3D<double>& r,
-                       double c1, double c2, SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  for (long parity = 0; parity < 2; ++parity) {
-    redblack_rhs_sweep(a, r, c1, c2, parity, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1,
-                       lvl);
-  }
-}
-
-void redblack_tiled_rhs_rows(Array3D<double>& a, const Array3D<double>& r,
-                             double c1, double c2, IterTile t, SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long parity = 0; parity < 2; ++parity) {
-    for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-      const long jhi = std::min(jj + t.tj, n2 - 1);
-      for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-        const long ihi = std::min(ii + t.ti, n1 - 1);
-        redblack_rhs_sweep(a, r, c1, c2, parity, ii, ihi, jj, jhi, 1, n3 - 1,
-                           lvl);
-      }
-    }
-  }
-}
-
-void psinv_rows(Array3D<double>& u, const Array3D<double>& r,
-                const PsinvCoeffs& c, SimdLevel lvl) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  psinv_sweep(u, r, c, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
-}
-
-void psinv_tiled_rows(Array3D<double>& u, const Array3D<double>& r,
-                      const PsinvCoeffs& c, IterTile t, SimdLevel lvl) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  if (t.ti <= 0 || t.tj <= 0) return;
-  for (long jj = 1; jj < n2 - 1; jj += t.tj) {
-    const long jhi = std::min(jj + t.tj, n2 - 1);
-    for (long ii = 1; ii < n1 - 1; ii += t.ti) {
-      const long ihi = std::min(ii + t.ti, n1 - 1);
-      psinv_sweep(u, r, c, ii, ihi, jj, jhi, 1, n3 - 1, lvl);
-    }
-  }
-}
-
-void rprj3_rows(Array3D<double>& s, const Array3D<double>& r, SimdLevel lvl) {
-  const long m1 = s.n1(), m2 = s.n2(), m3 = s.n3();
-  rprj3_sweep(s, r, 1, m1 - 1, 1, m2 - 1, 1, m3 - 1, lvl);
-}
-
-void interp_add_rows(Array3D<double>& u, const Array3D<double>& z,
-                     SimdLevel lvl) {
-  const long n1 = u.n1(), n2 = u.n2(), n3 = u.n3();
-  interp_sweep(u, z, 1, n1 - 1, 1, n2 - 1, 1, n3 - 1, lvl);
+  RT_SIMD_DISPATCH(interp_sweep, u.data(), z.data(), us1, us2, zs1, zs2,
+                   RT_SIMD_BOX);
 }
 
 }  // namespace rt::simd

@@ -21,6 +21,11 @@ SimdLevel resolve(SimdMode mode) {
   return SimdLevel::kScalar;
 }
 
+SimdLevel exec_level(SimdMode mode, bool pooled) {
+  const SimdLevel l = resolve(mode);
+  return (l == SimdLevel::kScalar && pooled) ? SimdLevel::kRows : l;
+}
+
 const char* simd_mode_name(SimdMode m) {
   switch (m) {
     case SimdMode::kOff:

@@ -81,8 +81,8 @@ void diamond_thread(int idx, DiamondShared& sh, Array3D<double>& a,
           const long lo = s + t;
           const long hi = std::min(kmax, s + w - 1 - t);
           if (hi >= lo) {
-            rt::simd::jacobi_sweep(dst, src, c, 1, n1 - 1, jlo, jhi, lo,
-                                   hi + 1, lvl);
+            rt::simd::jacobi_sweep(dst, src, c,
+                                   {1, n1 - 1, jlo, jhi, lo, hi + 1}, lvl);
           }
         }
         sh.team_bars[static_cast<std::size_t>(g)]->arrive_and_wait();
@@ -99,8 +99,8 @@ void diamond_thread(int idx, DiamondShared& sh, Array3D<double>& a,
           const long lo = std::max(1L, bnd - t);
           const long hi = std::min(kmax, bnd + t - 1);
           if (hi >= lo) {
-            rt::simd::jacobi_sweep(dst, src, c, 1, n1 - 1, jlo, jhi, lo,
-                                   hi + 1, lvl);
+            rt::simd::jacobi_sweep(dst, src, c,
+                                   {1, n1 - 1, jlo, jhi, lo, hi + 1}, lvl);
           }
         }
         sh.team_bars[static_cast<std::size_t>(g)]->arrive_and_wait();
@@ -129,11 +129,12 @@ TemporalRun jacobi3d_skew_rows(rt::par::ThreadPool* pool, Array3D<double>& a,
       const Array3D<double>& src = (t % 2 == 0) ? b : a;
       if (run.threads > 1) {
         pool->parallel_for(hi - lo + 1, [&](long kk) {
-          rt::simd::jacobi_sweep(dst, src, c, 1, n1 - 1, 1, n2 - 1, lo + kk,
-                                 lo + kk + 1, lvl);
+          rt::simd::jacobi_sweep(dst, src, c,
+                                 {1, n1 - 1, 1, n2 - 1, lo + kk, lo + kk + 1},
+                                 lvl);
         });  // barrier: stage (kb, t) completes before (kb, t + 1)
       } else {
-        rt::simd::jacobi_sweep(dst, src, c, 1, n1 - 1, 1, n2 - 1, lo, hi + 1,
+        rt::simd::jacobi_sweep(dst, src, c, {1, n1 - 1, 1, n2 - 1, lo, hi + 1},
                                lvl);
       }
     }

@@ -66,7 +66,10 @@ std::string default_store_path();
 std::string store_to_json(const PlanStore& s);
 
 /// Parse + validate @p text against @p host_fingerprint.
-///   kCorrupt          JSON parse failure, or a missing/mistyped field
+///   kCorrupt          JSON parse failure, a missing/mistyped field, or a
+///                     spatial plan that cannot run: tiled with a tile
+///                     extent < 1, a pad (dip/djp) below the key's di/dj,
+///                     or a recursive schedule on an untiled plan
 ///   kStale            parsed fine, but version != kPlanStoreVersion or
 ///                     fingerprint != host_fingerprint
 /// The detail line carries the parser reason / the mismatching values.

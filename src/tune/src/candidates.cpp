@@ -30,12 +30,11 @@ std::vector<Candidate> spatial_candidates(const rt::core::TilingPlan& model,
       p.tile.ti = clamp_tile(p.tile.ti, 1, max_ti);
       p.tile.tj = clamp_tile(p.tile.tj, 1, max_tj);
       // A tile covering the whole interior is just the untiled loop.
-      if (p.tile.ti == max_ti && p.tile.tj == max_tj) {
-        p.tiled = false;
-        p.tile = {};
-      }
-    } else {
+      if (p.tile.ti == max_ti && p.tile.tj == max_tj) p.tiled = false;
+    }
+    if (!p.tiled) {  // untiled plans are flat (never recursive on no tile)
       p.tile = {};
+      p.schedule = rt::core::LoopSchedule::kFlat;
     }
     for (const Candidate& c : out) {
       if (c.plan.tiled == p.tiled && c.plan.tile == p.tile &&

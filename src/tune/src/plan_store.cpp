@@ -231,6 +231,32 @@ class Reader {
   std::string why_;
 };
 
+/// Why a parsed spatial entry's plan cannot be executed ("" when it can).
+/// Installed entries are pinned into the PlanCache and run as-is: a zero
+/// tile extent would never advance the accessor tile loops, a pad below
+/// the planned extent gives strides shorter than the rows, and a recursive
+/// schedule without a tile hands the oblivious kernels a 0x0 base tile.
+/// An untiled plan with the tiled schedule (as older stores hold) runs flat
+/// on every path and stays valid.
+std::string plan_defect(const StoreEntry& e) {
+  const rt::core::TilingPlan& p = e.plan;
+  if (p.tiled && (p.tile.ti < 1 || p.tile.tj < 1)) {
+    return "tiled plan with tile " + std::to_string(p.tile.ti) + "x" +
+           std::to_string(p.tile.tj) + " (extents must be >= 1)";
+  }
+  if (p.dip < e.plan_key.di || p.djp < e.plan_key.dj) {
+    return "plan pad " + std::to_string(p.dip) + "x" +
+           std::to_string(p.djp) + " below the planned extent " +
+           std::to_string(e.plan_key.di) + "x" +
+           std::to_string(e.plan_key.dj);
+  }
+  if (!p.tiled && p.schedule == rt::core::LoopSchedule::kRecursive) {
+    return "untiled plan with schedule \"" +
+           std::string(rt::core::schedule_name(p.schedule)) + "\"";
+  }
+  return "";
+}
+
 }  // namespace
 
 std::string store_to_json(const PlanStore& s) {
@@ -363,6 +389,11 @@ Expected<PlanStore> parse_store(const std::string& text,
     if (r.failed()) {
       return {Status::kCorrupt,
               "entry " + std::to_string(i) + ": " + r.why()};
+    }
+    if (!e.temporal) {
+      if (const std::string why = plan_defect(e); !why.empty()) {
+        return {Status::kCorrupt, "entry " + std::to_string(i) + ": " + why};
+      }
     }
     s.entries.push_back(std::move(e));
   }

@@ -100,6 +100,19 @@ TEST(MgFastPath, ReportsWidthLevelAndPhases) {
   EXPECT_GT(p.resid.total_s, 0.0);
 }
 
+TEST(MgFastPath, SimdOffOnAPoolRunsAndReportsRows) {
+  // The accessor operators are the serial reference only: simd off on a
+  // pool runs the baseline rows stamp through the executor.
+  MgOptions o = mg_base_opts();
+  o.threads = 2;
+  MgSolver s(o);
+  EXPECT_EQ(s.threads(), 2);
+  EXPECT_EQ(s.simd_level(), SimdLevel::kRows);
+  MgOptions serial = mg_base_opts();
+  EXPECT_EQ(MgSolver(serial).simd_level(), SimdLevel::kScalar);
+  EXPECT_EQ(run_mg(o).norms, run_mg(serial).norms);
+}
+
 TEST(MgFastPath, FirstTouchGridsStartZeroed) {
   // With a pool the per-level arrays are allocated uninitialized and
   // zeroed plane-parallel (first-touch NUMA placement): the observable
@@ -164,6 +177,14 @@ TEST(SorFastPath, ThreadsAndSimdAreBitIdenticalToSerial) {
           << "threads=" << threads << " simd=" << int(simd);
     }
   }
+}
+
+TEST(SorFastPath, SimdOffOnAPoolRunsAndReportsRows) {
+  SorOptions o = sor_base_opts();
+  o.threads = 2;
+  EXPECT_EQ(SorSolver(o).simd_level(), SimdLevel::kRows);
+  EXPECT_EQ(SorSolver(sor_base_opts()).simd_level(), SimdLevel::kScalar);
+  EXPECT_EQ(run_sor(o), run_sor(sor_base_opts()));
 }
 
 TEST(SorFastPath, UntiledPlanFastPathIsBitIdenticalToo) {

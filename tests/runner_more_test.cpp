@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rt/bench/options.hpp"
 #include "rt/bench/runner.hpp"
 #include "rt/core/tiling2d.hpp"
 
@@ -118,6 +119,36 @@ TEST(RunnerMore, PsinvRunsThreadedAndSimdLikeOtherKernels) {
   const auto j = run_kernel(KernelId::kJacobi, Transform::kOrig, 32, o);
   EXPECT_EQ(j.threads, 4);
   EXPECT_FALSE(j.degraded());
+}
+
+TEST(RunnerMore, SimdOffOnTwoThreadsRunsAndReportsRows) {
+  // The accessor reference is serial only: --simd=off --threads=2 runs the
+  // baseline rows stamp through the executor and reports that level — an
+  // upgrade over the request, not a degradation.
+  const char* argv[] = {"prog", "--simd=off", "--threads=2"};
+  const BenchOptions bo = parse_options(3, const_cast<char**>(argv));
+  RunOptions o = fast_opts();
+  o.simulate = false;
+  o.time_host = true;
+  o.min_host_seconds = 0.001;
+  o.threads = bo.threads;
+  o.simd = bo.simd;
+  for (const KernelId id : rt::kernels::all_kernels()) {
+    const auto r = run_kernel(id, Transform::kGcdPad, 32, o);
+    EXPECT_EQ(r.threads, 2);
+    EXPECT_EQ(r.simd, rt::simd::SimdLevel::kRows);
+    EXPECT_EQ(r.simd_requested, rt::simd::SimdMode::kOff);
+    EXPECT_FALSE(r.degraded());
+    rt::obs::MetricsWriter w;
+    const auto& rec = append_json_record(w, "K", 32, r);
+    ASSERT_NE(rec.find("simd_level"), nullptr);
+    EXPECT_EQ(rec.find("simd_level")->as_string(), "rows");
+    EXPECT_EQ(rec.find("simd")->as_string(), "off");
+  }
+  // One thread keeps the scalar accessor reference.
+  o.threads = 1;
+  EXPECT_EQ(run_kernel(KernelId::kJacobi, Transform::kGcdPad, 32, o).simd,
+            rt::simd::SimdLevel::kScalar);
 }
 
 TEST(RunnerMore, HostRunReportsPhasesAndUnavailableCounters) {

@@ -33,6 +33,7 @@
 #include "rt/serve/client.hpp"
 #include "rt/serve/protocol.hpp"
 #include "rt/serve/server.hpp"
+#include "rt/simd/simd.hpp"
 #include "rt/tune/plan_store.hpp"
 
 namespace rt::serve {
@@ -174,6 +175,25 @@ TEST_F(ServeFixture, StartPingStatsStopAndIdempotentStop) {
   EXPECT_FALSE(server.running());
   // A stopped server refuses new connections.
   EXPECT_FALSE(Client::connect(server.port()).ok());
+}
+
+TEST_F(ServeFixture, StatsReportsTheResolvedSimdLevel) {
+  // The server resolves SimdMode::kAuto once at start; kernel batches and
+  // app solves run at that level, and the stats op says which it is.
+  Server server(base_options());
+  ASSERT_EQ(server.start(), Status::kOk);
+  Client c = connect_to(server);
+  JsonValue stats = JsonValue::object();
+  stats.set("op", "stats");
+  const rt::guard::Expected<JsonValue> resp = c.call(stats);
+  ASSERT_TRUE(resp.ok()) << resp.detail();
+  const JsonValue* st = resp.value().find("stats");
+  ASSERT_NE(st, nullptr);
+  ASSERT_NE(st->find("simd_level"), nullptr);
+  EXPECT_EQ(st->find("simd_level")->as_string(),
+            rt::simd::simd_level_name(
+                rt::simd::resolve(rt::simd::SimdMode::kAuto)));
+  EXPECT_NE(st->find("simd_level")->as_string(), "scalar");
 }
 
 TEST_F(ServeFixture, ServedKernelChecksumsMatchDirectComputation) {

@@ -174,6 +174,20 @@ TEST(SpatialCandidates, OversizedTilesClampAndFullInteriorTilesGoUntiled) {
   EXPECT_FALSE(cands[0].plan.tiled);
 }
 
+TEST(SpatialCandidates, UntiledCandidatesAreFlat) {
+  // The untiled baselines and full-interior tiles drop the model's tiled
+  // schedule with its tile, so every winner stays storable.
+  TilingPlan model = tiled_model();
+  model.schedule = rt::core::LoopSchedule::kTiled;
+  const auto cands = spatial_candidates(model, 400, 400, 1);
+  ASSERT_TRUE(has_origin(cands, "untiled"));
+  for (const Candidate& c : cands) {
+    if (!c.plan.tiled) {
+      EXPECT_EQ(c.plan.schedule, rt::core::LoopSchedule::kFlat) << c.origin;
+    }
+  }
+}
+
 TEST(SpatialCandidates, UntiledModelStillProbesSquareTiles) {
   TilingPlan model;
   model.transform = Transform::kOrig;
@@ -733,6 +747,82 @@ TEST(PlanStoreTest, CorruptInputsAreTypedNeverFatal) {
   auto m = parse_store(mangled, kFp);
   EXPECT_EQ(m.status(), Status::kCorrupt);
   EXPECT_NE(m.detail().find("tiled"), std::string::npos);
+}
+
+/// parse_store of the sample store plus one spatial entry damaged by
+/// @p damage, appended as entry 2.
+rt::guard::Expected<PlanStore> parse_with_bad_plan(
+    void (*damage)(StoreEntry&)) {
+  PlanStore s = sample_store();
+  StoreEntry e = spatial_entry();
+  e.key.kernel = "RESID";
+  damage(e);
+  s.entries.push_back(e);
+  return parse_store(store_to_json(s), kFp);
+}
+
+void expect_corrupt_entry_2(const rt::guard::Expected<PlanStore>& r,
+                            const std::string& what) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status(), Status::kCorrupt);
+  EXPECT_NE(r.detail().find("entry 2"), std::string::npos) << r.detail();
+  EXPECT_NE(r.detail().find(what), std::string::npos) << r.detail();
+}
+
+// A pinned plan runs as-is, so an entry the executor cannot run is
+// corruption, not a plan: one case per field.
+TEST(PlanStoreValidation, TiledPlanWithZeroTiIsCorrupt) {
+  expect_corrupt_entry_2(
+      parse_with_bad_plan([](StoreEntry& e) { e.plan.tile.ti = 0; }),
+      "tile 0x64");
+}
+
+TEST(PlanStoreValidation, TiledPlanWithNegativeTjIsCorrupt) {
+  expect_corrupt_entry_2(
+      parse_with_bad_plan([](StoreEntry& e) { e.plan.tile.tj = -3; }),
+      "tile 64x-3");
+}
+
+TEST(PlanStoreValidation, DipBelowPlannedExtentIsCorrupt) {
+  expect_corrupt_entry_2(
+      parse_with_bad_plan([](StoreEntry& e) { e.plan.dip = 1; }),
+      "plan pad 1x400 below the planned extent 400x400");
+}
+
+TEST(PlanStoreValidation, DjpBelowPlannedExtentIsCorrupt) {
+  expect_corrupt_entry_2(
+      parse_with_bad_plan([](StoreEntry& e) { e.plan.djp = -5; }),
+      "plan pad 408x-5 below the planned extent 400x400");
+}
+
+TEST(PlanStoreValidation, RecursiveScheduleOnUntiledPlanIsCorrupt) {
+  expect_corrupt_entry_2(parse_with_bad_plan([](StoreEntry& e) {
+                           e.plan.tiled = false;
+                           e.plan.tile = {};
+                           e.plan.schedule =
+                               rt::core::LoopSchedule::kRecursive;
+                         }),
+                         "untiled plan with schedule \"recursive\"");
+  // The same untiled entry with the flat schedule is a valid plan.
+  const auto ok = parse_with_bad_plan([](StoreEntry& e) {
+    e.plan.tiled = false;
+    e.plan.tile = {};
+  });
+  EXPECT_TRUE(ok.ok()) << ok.detail();
+}
+
+// Stores written before candidates were made flat hold untiled winners with
+// the model's tiled schedule; those run flat on every path and still load.
+TEST(PlanStoreValidation, TiledScheduleOnUntiledPlanStillParses) {
+  const auto r = parse_with_bad_plan([](StoreEntry& e) {
+    e.plan.tiled = false;
+    e.plan.tile = {};
+    e.plan.schedule = rt::core::LoopSchedule::kTiled;
+  });
+  ASSERT_TRUE(r.ok()) << r.detail();
+  const StoreEntry& e = r.value().entries.back();
+  EXPECT_FALSE(e.plan.tiled);
+  EXPECT_EQ(e.plan.schedule, rt::core::LoopSchedule::kTiled);
 }
 
 TEST(PlanStoreTest, SaveLoadRoundTripAndMissingFileIsInvalidArgument) {
