@@ -15,6 +15,10 @@
 //   --threads=T            additionally run at T threads (default: 1 only)
 //   --temporal=off|skew|diamond  restrict the temporal JACOBI rows
 //                          (default: register skew AND diamond)
+// The CHECKSUM/<n>/gcdpad/<serial|auto>/<threads>/off rows time the served
+// solve's checksum (rt::serve::checksum_region) over an n^3 grid: the
+// byte-serial FNV-1a against the dispatched path at 1 and nproc threads,
+// reported in GB/s of hashed bytes.
 
 #include <benchmark/benchmark.h>
 
@@ -30,6 +34,7 @@
 #include "rt/core/temporal.hpp"
 #include "rt/kernels/kernel_info.hpp"
 #include "rt/par/thread_pool.hpp"
+#include "rt/serve/protocol.hpp"
 #include "rt/simd/execute.hpp"
 #include "rt/temporal/wavefront.hpp"
 
@@ -142,6 +147,34 @@ void BM_TemporalJacobi(benchmark::State& state, TemporalCfg cfg) {
   state.SetLabel(rt::simd::simd_level_name(lvl));
 }
 
+struct ChecksumCfg {
+  long n;
+  bool serial;  ///< force the byte-serial fnv1a64 path
+  int threads;
+};
+
+/// The served checksum over a gcdpad-padded n^3 grid (the layout a served
+/// JACOBI result has); one iteration hashes the whole logical region.
+void BM_Checksum(benchmark::State& state, ChecksumCfg cfg) {
+  const rt::core::TilingPlan plan = rt::core::plan_for(
+      Transform::kGcdPad, 2048, cfg.n, cfg.n,
+      rt::kernels::kernel_info(KernelId::kJacobi).spec);
+  Array3D<double> a(Dims3::padded(cfg.n, cfg.n, cfg.n, plan.dip, plan.djp));
+  init(a);
+  std::unique_ptr<rt::par::ThreadPool> pool;
+  if (cfg.threads > 1) pool = std::make_unique<rt::par::ThreadPool>(cfg.threads);
+  rt::serve::detail::force_serial_checksum(cfg.serial);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rt::serve::checksum_region(a, pool.get()));
+  }
+  state.SetLabel(rt::serve::checksum_path_name());
+  rt::serve::detail::force_serial_checksum(false);
+  const double bytes = 8.0 * static_cast<double>(cfg.n * cfg.n * cfg.n);
+  state.counters["GB/s"] = benchmark::Counter(
+      bytes * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -224,6 +257,24 @@ int main(int argc, char** argv) {
                                        TemporalCfg{n, tm, m, t})
               ->Unit(benchmark::kMillisecond);
         }
+      }
+    }
+  }
+
+  // The served checksum: serial reference, then the dispatched path at 1
+  // and nproc threads.
+  const int nproc = rt::par::ThreadPool::default_threads();
+  for (long n : {64L, 200L, 448L}) {
+    for (const bool serial : {true, false}) {
+      for (int t : {1, nproc}) {
+        if ((serial || nproc == 1) && t > 1) continue;
+        const std::string name = "CHECKSUM/" + std::to_string(n) +
+                                 "/gcdpad/" + (serial ? "serial" : "auto") +
+                                 "/" + std::to_string(t) + "/off";
+        benchmark::RegisterBenchmark(name.c_str(), BM_Checksum,
+                                     ChecksumCfg{n, serial, t})
+            ->Unit(benchmark::kMillisecond)
+            ->UseRealTime();
       }
     }
   }

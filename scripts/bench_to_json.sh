@@ -62,8 +62,10 @@ trap 'rm -f "${raw}"' EXIT
 # ($p[4]), without the PR-6 temporal component ($p[5]), or without a
 # SetLabel() call (.label) must not crash the reshape — assume serial
 # scalar non-temporal, the registration defaults, so pre-PR6 row shapes
-# still parse.
+# still parse.  Rows without an MFlops counter (the CHECKSUM rows, which
+# report GB/s) are not kernel records and are skipped.
 jq '[.benchmarks[]
+     | select(.MFlops != null)
      | (.name | split("/")) as $p
      | {kernel: $p[0],
         n: ($p[1] | tonumber),

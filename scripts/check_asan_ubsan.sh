@@ -26,7 +26,7 @@ cmake --build "${BUILD_DIR}" -j \
   --target guard_test guard_fault_injection_test array_test core_plan_test \
            core_backend_test cachesim_lattice_test plan_cache_test \
            exec_identity_test mg_fastpath_test temporal_test tune_test \
-           serve_test resil_test \
+           checksum_test serve_test resil_test \
            bench_chaos_soak
 
 # halt_on_error turns the first finding into a hard failure.  Abandonment
@@ -52,6 +52,9 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/mg_fastpath_test"
 "${BUILD_DIR}/tests/temporal_test"
 "${BUILD_DIR}/tests/tune_test"
+# The served checksum: tile gathers across padded columns, ragged tails
+# and unaligned starts.
+"${BUILD_DIR}/tests/checksum_test"
 "${BUILD_DIR}/tests/serve_test"
 "${BUILD_DIR}/tests/resil_test"
 # Short deterministic chaos soak: torn frames, short writes, wedged
@@ -63,5 +66,5 @@ echo "ASan+UBSan clean: guard_test + guard_fault_injection_test +" \
      "array_test + core_plan_test + core_backend_test" \
      "+ cachesim_lattice_test + plan_cache_test + exec_identity_test" \
      "+ mg_fastpath_test" \
-     "+ temporal_test + tune_test + serve_test + resil_test" \
+     "+ temporal_test + tune_test + checksum_test + serve_test + resil_test" \
      "+ bench_chaos_soak reported no findings."

@@ -24,7 +24,7 @@ cmake -B "${BUILD_DIR}" -S . "${GEN_FLAG[@]}" \
 cmake --build "${BUILD_DIR}" -j \
   --target par_pool_test exec_identity_test plan_cache_test \
            core_backend_test mg_fastpath_test obs_test temporal_test \
-           tune_test serve_test resil_test bench_chaos_soak
+           tune_test checksum_test serve_test resil_test bench_chaos_soak
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/par_pool_test"
@@ -38,6 +38,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/obs_test"
 "${BUILD_DIR}/tests/temporal_test"
 "${BUILD_DIR}/tests/tune_test"
+# The served checksum's pooled path: phase 1 on one pool thread, chains in
+# chunks on the others behind it, chunk results folded in order.
+"${BUILD_DIR}/tests/checksum_test"
 # The serve suite runs a real multi-threaded server (acceptor + handlers +
 # executors + watchdog abandonment) end to end — the strongest race check
 # in the tree.
@@ -51,4 +54,5 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 echo "TSan clean: par_pool_test + exec_identity_test" \
      "+ plan_cache_test + core_backend_test" \
      "+ mg_fastpath_test + obs_test + temporal_test + tune_test" \
-     "+ serve_test + resil_test + bench_chaos_soak reported no races."
+     "+ checksum_test + serve_test + resil_test + bench_chaos_soak" \
+     "reported no races."

@@ -83,6 +83,9 @@ class SorSolver {
 
   /// Actual execution width (1 when serial or trace-driven).
   int threads() const { return pool_ ? pool_->num_threads() : 1; }
+  /// The sweep pool (nullptr when serial): lent to callers that post-process
+  /// u() on the same threads, such as the served checksum.
+  rt::par::ThreadPool* pool() const { return pool_.get(); }
   /// Resolved SIMD level of the fast path (kScalar when the accessor
   /// kernels run: traced, or serial with simd off).
   rt::simd::SimdLevel simd_level() const { return lvl_; }

@@ -41,6 +41,10 @@
 #include "rt/guard/status.hpp"
 #include "rt/obs/metrics_writer.hpp"
 
+namespace rt::par {
+class ThreadPool;
+}  // namespace rt::par
+
 namespace rt::serve {
 
 /// Hard cap on one frame's payload: a hostile 4 GB length prefix must be
@@ -123,18 +127,43 @@ FrameResult read_frame(int fd, std::string* payload,
 rt::guard::Status write_frame(int fd, const std::string& payload,
                               std::string* detail = nullptr);
 
-/// FNV-1a 64-bit over raw bytes.
+/// FNV-1a 64-bit over raw bytes, one byte at a time: the definition, the
+/// reference every faster path is tested against, and the fallback.
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                       std::uint64_t h = 14695981039346656037ull);
 
 /// Bit-exact witness of a solve result: FNV-1a over the byte patterns of
 /// every element of the *logical* region (padding excluded — two plans
 /// with different pads must hash equal when the answers are equal), in
-/// storage order (i fastest).
-std::uint64_t checksum_region(const rt::array::Array3D<double>& a);
+/// storage order (i fastest).  Always equal to fnv1a64 over those bytes.
+/// On hosts with AVX-512BW and PCLMULQDQ it runs without the byte-serial
+/// dependency chain (src/serve/src/checksum.cpp), and spreads the work
+/// over @p pool's threads when one is given; elsewhere it is fnv1a64.
+std::uint64_t checksum_region(const rt::array::Array3D<double>& a,
+                              rt::par::ThreadPool* pool = nullptr);
+
+/// Which checksum_region path this process runs: "avx512" or "serial".
+const char* checksum_path_name();
 
 /// 16-hex-digit form used on the wire (JSON integers are signed 64-bit;
 /// a hash is not).
 std::string checksum_hex(std::uint64_t h);
+
+namespace detail {
+
+/// fnv1a64(data, bytes) through checksum_region's dispatch: the test entry
+/// point for byte-granular lengths and unaligned starts.
+std::uint64_t fnv1a64_dispatched(const void* data, std::size_t bytes,
+                                 rt::par::ThreadPool* pool = nullptr);
+
+/// Test hook: while on, checksum_region runs the byte-serial fnv1a64 (and
+/// checksum_path_name() says "serial") on every host.
+void force_serial_checksum(bool on);
+
+/// Fast-path results whose seam self-check failed (each was rehashed
+/// serially, so the answer stayed right); zero unless the kernel is wrong.
+std::uint64_t checksum_seam_faults();
+
+}  // namespace detail
 
 }  // namespace rt::serve

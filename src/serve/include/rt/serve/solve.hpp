@@ -77,10 +77,11 @@ struct SolveOutcome {
 /// (this function initializes every logical element before reading).  Apps
 /// ignore @p arrays.  Kernel sweeps run the rt::simd row sweeps at the
 /// SimdMode::kAuto level through the executor (rt/simd/execute.hpp), on
-/// @p pool (optional, also used for init) — results stay bit-identical to
-/// the serial accessor kernels, every grid point is computed independently
-/// with the same FP order.  @p app_threads sizes the MGRID/SOR solvers'
-/// internal pools; both run their row-sweep fast paths at SimdMode::kAuto.
+/// @p pool (optional, also used for init and the checksum) — results stay
+/// bit-identical to the serial accessor kernels, every grid point is
+/// computed independently with the same FP order.  @p app_threads sizes
+/// the MGRID/SOR solvers' internal pools (lent to the checksum too); both
+/// run their row-sweep fast paths at SimdMode::kAuto.
 ///
 /// Deadline safety: reads/writes only its arguments; checks the rt::guard
 /// hang-injection point each sweep so tests can wedge a solve under a

@@ -372,28 +372,6 @@ rt::guard::Status write_frame(int fd, const std::string& payload,
   return rt::obs::write_all_fd(fd, frame, detail);
 }
 
-std::uint64_t fnv1a64(const void* data, std::size_t bytes, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t checksum_region(const rt::array::Array3D<double>& a) {
-  const rt::array::Dims3& d = a.dims();
-  std::uint64_t h = 14695981039346656037ull;
-  for (long k = 0; k < d.n3; ++k) {
-    for (long j = 0; j < d.n2; ++j) {
-      // One contiguous logical column (i fastest) per hash call.
-      h = fnv1a64(&a(0, j, k), static_cast<std::size_t>(d.n1) * sizeof(double),
-                  h);
-    }
-  }
-  return h;
-}
-
 std::string checksum_hex(std::uint64_t h) {
   static const char* kHex = "0123456789abcdef";
   std::string s(16, '0');

@@ -931,6 +931,7 @@ rt::obs::JsonValue Server::stats_json() const {
   s.set("plan_cache", std::move(pc));
 
   s.set("simd_level", rt::simd::simd_level_name(simd_lvl_));
+  s.set("checksum_path", checksum_path_name());
   s.set("plan_store_status",
         std::string(rt::guard::status_name(store_status_)));
   if (!store_detail_.empty()) s.set("plan_store_detail", store_detail_);

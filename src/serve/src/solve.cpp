@@ -133,7 +133,7 @@ SolveOutcome solve_kernels(const SolveParams& p, const TilingPlan& plan,
       return out;
   }
   out.iters = p.tsteps;
-  out.checksum = checksum_region(arrays[0]);
+  out.checksum = checksum_region(arrays[0], pool);
   return out;
 }
 
@@ -177,7 +177,7 @@ SolveOutcome solve_mgrid(const SolveParams& p, const TilingPlan& plan,
   if (p.tol <= 0) rnorm = solver.residual_norm();
   out.iters = iters;
   out.residual = rnorm;
-  out.checksum = checksum_region(solver.u());
+  out.checksum = checksum_region(solver.u(), solver.pool());
   return out;
 }
 
@@ -201,7 +201,7 @@ SolveOutcome solve_sor(const SolveParams& p, const TilingPlan& plan,
   // so solve(0, tsteps) runs the full sweep budget like the batch bench.
   out.iters = solver.solve(p.tol, p.tsteps);
   out.residual = solver.residual_linf();
-  out.checksum = checksum_region(solver.u());
+  out.checksum = checksum_region(solver.u(), solver.pool());
   return out;
 }
 

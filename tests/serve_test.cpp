@@ -83,6 +83,23 @@ void init_grid(Array3D<double>& a, double scale) {
   }
 }
 
+/// The wire checksum, restated byte by byte: FNV-1a 64 over the logical
+/// columns in storage order.  Written out here rather than calling
+/// checksum_region, so a bug in the server's fast hash cannot check itself.
+std::string oracle_checksum(const Array3D<double>& a) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (long k = 0; k < a.n3(); ++k) {
+    for (long j = 0; j < a.n2(); ++j) {
+      const auto* p = reinterpret_cast<const unsigned char*>(&a(0, j, k));
+      for (std::size_t b = 0; b < static_cast<std::size_t>(a.n1()) * 8; ++b) {
+        h ^= p[b];
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return checksum_hex(h);
+}
+
 /// Direct (no server) reference checksum for a kernel request — the
 /// batch-binary computation: plan, padded arrays, runner init, tsteps
 /// steps, checksum of the result grid's logical region.
@@ -131,13 +148,14 @@ std::string reference_kernel_checksum(ServeKernel kernel, long n, int tsteps,
         break;
     }
   }
-  return checksum_hex(checksum_region(arrays[0]));
+  return oracle_checksum(arrays[0]);
 }
 
 class ServeFixture : public ::testing::Test {
  protected:
   void TearDown() override {
     rt::guard::FaultInjector::instance().disarm_all();
+    detail::force_serial_checksum(false);
   }
 
   Client connect_to(const Server& s) {
@@ -196,6 +214,46 @@ TEST_F(ServeFixture, StatsReportsTheResolvedSimdLevel) {
   EXPECT_NE(st->find("simd_level")->as_string(), "scalar");
 }
 
+TEST_F(ServeFixture, StatsReportsTheChecksumPathAndBothPathsAgree) {
+  // "avx512" exactly when the host runs the chained FNV-1a kernel; the
+  // test hook forces the byte-serial path, and a solve hashes the same on
+  // both.
+#if defined(__x86_64__) || defined(__i386__)
+  const bool fast = __builtin_cpu_supports("avx512f") &&
+                    __builtin_cpu_supports("avx512bw") &&
+                    __builtin_cpu_supports("pclmul");
+#else
+  const bool fast = false;
+#endif
+  ServerOptions opts = base_options();
+  opts.solver_threads = 4;  // n = 40 is large enough for the pooled hash
+  Server server(opts);
+  ASSERT_EQ(server.start(), Status::kOk);
+  Client c = connect_to(server);
+  JsonValue stats = JsonValue::object();
+  stats.set("op", "stats");
+  const std::string want =
+      reference_kernel_checksum(ServeKernel::kJacobi, 40, 2,
+                                rt::core::Transform::kGcdPad);
+  for (const bool force_serial : {false, true}) {
+    detail::force_serial_checksum(force_serial);
+    const rt::guard::Expected<JsonValue> resp = c.call(stats);
+    ASSERT_TRUE(resp.ok()) << resp.detail();
+    const JsonValue* st = resp.value().find("stats");
+    ASSERT_NE(st, nullptr);
+    ASSERT_NE(st->find("checksum_path"), nullptr);
+    EXPECT_EQ(st->find("checksum_path")->as_string(),
+              fast && !force_serial ? "avx512" : "serial");
+    const rt::guard::Expected<JsonValue> r =
+        c.call(solve_req(force_serial ? 2 : 1, "JACOBI", 40));
+    ASSERT_TRUE(r.ok()) << r.detail();
+    ASSERT_EQ(field(r.value(), "status"), "ok") << field(r.value(), "detail");
+    EXPECT_EQ(field(r.value(), "checksum"), want) << force_serial;
+  }
+  detail::force_serial_checksum(false);
+  EXPECT_EQ(detail::checksum_seam_faults(), 0u);
+}
+
 TEST_F(ServeFixture, ServedKernelChecksumsMatchDirectComputation) {
   Server server(base_options());
   ASSERT_EQ(server.start(), Status::kOk);
@@ -251,7 +309,7 @@ TEST_F(ServeFixture, ServedAppsMatchDirectSolvers) {
     ref.iterate();
     ref.iterate();
     EXPECT_EQ(field(resp.value(), "checksum"),
-              checksum_hex(checksum_region(ref.u())));
+              oracle_checksum(ref.u()));
     EXPECT_EQ(resp.value().find("iters")->as_int(), 2);
   }
 
@@ -273,7 +331,7 @@ TEST_F(ServeFixture, ServedAppsMatchDirectSolvers) {
     ref.setup(42);
     const int sweeps = ref.solve(0.0, 5);
     EXPECT_EQ(field(resp.value(), "checksum"),
-              checksum_hex(checksum_region(ref.u())));
+              oracle_checksum(ref.u()));
     EXPECT_EQ(resp.value().find("iters")->as_int(), sweeps);
   }
   server.stop();
