@@ -49,7 +49,8 @@ SimOut run_resid_interpad(long n, long kd, const rt::core::InterPadPlan& ip) {
                                   static_cast<std::uint64_t>(ip.base_offsets[2]) * 8);
   rt::cachesim::CacheHierarchy h = rt::cachesim::CacheHierarchy::ultrasparc2();
   rt::cachesim::TracedArray3D<double> tr(r, br, h), tv(v, bv, h), tu(u, bu, h);
-  rt::kernels::resid_tiled(tr, tv, tu, rt::kernels::nas_mg_a(), ip.intra.tile);
+  rt::kernels::resid(tr, tv, tu, rt::kernels::nas_mg_a(),
+                     rt::kernels::tiled_plan(ip.intra.tile));
   auto st = h.stats();
   st.flops = 31 * static_cast<std::uint64_t>(n - 2) * (n - 2) * (kd - 2);
   return SimOut{100.0 * st.l1.miss_rate(),

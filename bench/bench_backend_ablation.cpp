@@ -39,7 +39,6 @@
 #include "rt/core/plan.hpp"
 #include "rt/kernels/jacobi3d.hpp"
 #include "rt/kernels/kernel_info.hpp"
-#include "rt/kernels/oblivious.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
 
@@ -94,43 +93,23 @@ std::uint64_t interior_fnv(const Array3D<double>& a) {
 std::uint64_t checksum_under_plan(KernelId kid, long n, long kd,
                                   const TilingPlan& plan) {
   const Dims3 d = Dims3::padded(n, n, kd, plan.dip, plan.djp);
-  const rt::core::IterTile tile = plan.tile;
-  const bool rec = plan.schedule == LoopSchedule::kRecursive;
   switch (kid) {
     case KernelId::kJacobi: {
       Array3D<double> b = make_grid(d, 0.5), a(d);
       const double w = 1.0 / 6.0;
-      if (rec) {
-        rt::kernels::jacobi3d_oblivious(a, b, w, tile);
-      } else if (plan.tiled) {
-        rt::kernels::jacobi3d_tiled(a, b, w, tile);
-      } else {
-        rt::kernels::jacobi3d(a, b, w);
-      }
+      rt::kernels::jacobi3d(a, b, w, plan);
       return interior_fnv(a);
     }
     case KernelId::kResid: {
       Array3D<double> v = make_grid(d, 0.7), u = make_grid(d, 0.1), r(d);
       const auto a = rt::kernels::nas_mg_a();
-      if (rec) {
-        rt::kernels::resid_oblivious(r, v, u, a, tile);
-      } else if (plan.tiled) {
-        rt::kernels::resid_tiled(r, v, u, a, tile);
-      } else {
-        rt::kernels::resid(r, v, u, a);
-      }
+      rt::kernels::resid(r, v, u, a, plan);
       return interior_fnv(r);
     }
     case KernelId::kPsinv: {
       Array3D<double> r = make_grid(d, 0.7), u = make_grid(d, 0.1);
       const auto c = rt::multigrid::nas_mg_c();
-      if (rec) {
-        rt::multigrid::psinv_oblivious(u, r, c, tile);
-      } else if (plan.tiled) {
-        rt::multigrid::psinv_tiled(u, r, c, tile);
-      } else {
-        rt::multigrid::psinv(u, r, c);
-      }
+      rt::multigrid::psinv(u, r, c, plan);
       return interior_fnv(u);
     }
     default:

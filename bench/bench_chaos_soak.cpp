@@ -119,11 +119,7 @@ std::string reference_checksum(long n, int tsteps) {
     }
   }
   for (int t = 0; t < tsteps; ++t) {
-    if (rep.plan.tiled) {
-      rt::kernels::jacobi3d_tiled(a, b, 1.0 / 6.0, rep.plan.tile);
-    } else {
-      rt::kernels::jacobi3d(a, b, 1.0 / 6.0);
-    }
+    rt::kernels::jacobi3d(a, b, 1.0 / 6.0, rep.plan);
     rt::kernels::copy_interior(b, a);
   }
   // Byte-serial FNV-1a over the logical columns, restated here so the

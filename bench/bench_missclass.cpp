@@ -83,11 +83,7 @@ int main(int argc, char** argv) {
           space.place("b", static_cast<std::uint64_t>(dims.alloc_elems()));
       ClassAcc ca(a, ba, cc), cb(b, bb, cc);
       for (int t = 0; t < bo.steps; ++t) {
-        if (plan.tiled) {
-          rt::kernels::jacobi3d_tiled(ca, cb, 1.0 / 6.0, plan.tile);
-        } else {
-          rt::kernels::jacobi3d(ca, cb, 1.0 / 6.0);
-        }
+        rt::kernels::jacobi3d(ca, cb, 1.0 / 6.0, plan);
         rt::kernels::copy_interior(cb, ca);
       }
       const auto& m = cc.classes();

@@ -92,9 +92,9 @@ int main(int argc, char** argv) {
         n, kd, gcd.dip, gcd.djp, tsteps, [&](auto& a, auto& b) {
           for (int t = 0; t < tsteps; ++t) {
             if (t % 2 == 0) {
-              rt::kernels::jacobi3d_tiled(a, b, 1.0 / 6.0, gcd.tile);
+              rt::kernels::jacobi3d(a, b, 1.0 / 6.0, gcd);
             } else {
-              rt::kernels::jacobi3d_tiled(b, a, 1.0 / 6.0, gcd.tile);
+              rt::kernels::jacobi3d(b, a, 1.0 / 6.0, gcd);
             }
           }
         });

@@ -56,7 +56,7 @@ int main() {
       for (long i = 0; i < n; ++i) in(i, j, k) = 0.01 * ((i * 7 + j * 3 + k) % 17);
 
   kernels::apply_stencil(out1, in, d);
-  kernels::apply_stencil_tiled(out2, in, d, plan.tile);
+  kernels::apply_stencil(out2, in, d, plan);
   for (long k = 1; k < kd - 1; ++k)
     for (long j = 1; j < n - 1; ++j)
       for (long i = 1; i < n - 1; ++i)

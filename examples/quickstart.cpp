@@ -36,7 +36,7 @@ int main() {
     for (long j = 0; j < n; ++j)
       for (long i = 0; i < n; ++i) b(i, j, k) = 0.001 * (i + j + k);
 
-  kernels::jacobi3d_tiled(a, b, 1.0 / 6.0, plan.tile);
+  kernels::jacobi3d(a, b, 1.0 / 6.0, plan);
 
   // 4. Verify against the untiled kernel...
   kernels::jacobi3d(a_ref, b, 1.0 / 6.0);

@@ -25,7 +25,8 @@ cmake -B "${BUILD_DIR}" -S . "${GEN_FLAG[@]}" \
 cmake --build "${BUILD_DIR}" -j \
   --target guard_test guard_fault_injection_test array_test core_plan_test \
            core_backend_test cachesim_lattice_test plan_cache_test \
-           exec_identity_test mg_fastpath_test temporal_test tune_test \
+           exec_identity_test kernels_test schedule_test trace_pin_test \
+           mg_fastpath_test temporal_test tune_test \
            checksum_test serve_test resil_test \
            bench_chaos_soak
 
@@ -49,6 +50,12 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # The executor's block arithmetic (clipped edge tiles, padded strides,
 # degenerate tiles) over every stencil's raw-pointer row sweeps.
 "${BUILD_DIR}/tests/exec_identity_test"
+# The block walker's Box bounds (ragged and oversized tiles, recursive
+# leaves, margins not at 1, degenerate tiles) under every accessor stencil
+# body, and the traced reference paths that run them.
+"${BUILD_DIR}/tests/kernels_test"
+"${BUILD_DIR}/tests/schedule_test"
+"${BUILD_DIR}/tests/trace_pin_test"
 "${BUILD_DIR}/tests/mg_fastpath_test"
 "${BUILD_DIR}/tests/temporal_test"
 "${BUILD_DIR}/tests/tune_test"
@@ -65,6 +72,7 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 echo "ASan+UBSan clean: guard_test + guard_fault_injection_test +" \
      "array_test + core_plan_test + core_backend_test" \
      "+ cachesim_lattice_test + plan_cache_test + exec_identity_test" \
+     "+ kernels_test + schedule_test + trace_pin_test" \
      "+ mg_fastpath_test" \
      "+ temporal_test + tune_test + checksum_test + serve_test + resil_test" \
      "+ bench_chaos_soak reported no findings."

@@ -21,7 +21,6 @@
 #include "rt/cachesim/traced_array.hpp"
 #include "rt/kernels/jacobi2d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
-#include "rt/kernels/oblivious.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
@@ -74,27 +73,16 @@ double now_seconds() {
 }
 
 /// One full measured time step of a kernel.  operator() over accessors is
-/// the serial reference (native or traced): plans with
-/// LoopSchedule::kRecursive (the oblivious backend) run the cache-oblivious
-/// recursive forms with plan.tile as the base case, tiled flat plans the
-/// paper's strip-mined nests.  exec() runs the same step through
-/// rt::simd::execute on native arrays.
+/// the serial reference (native or traced): the kernel's plan-taking entry,
+/// which walks the plan's schedule (rt/kernels/schedule.hpp) over one
+/// stencil body.  exec() runs the same step through rt::simd::execute on
+/// native arrays.
 struct JacobiStep {
   double c = 1.0 / 6.0;
   TilingPlan plan;
   template <class A, class B>
   void operator()(A& a, B& b) const {
-    if (plan.schedule == rt::core::LoopSchedule::kRecursive) {
-      rt::kernels::jacobi3d_oblivious(a, b, c, plan.tile);
-      rt::kernels::copy_interior_oblivious(b, a, plan.tile);
-      return;
-    }
-    if (plan.tiled) {
-      rt::kernels::jacobi3d_tiled(a, b, c, plan.tile);
-    } else {
-      rt::kernels::jacobi3d(a, b, c);
-    }
-    rt::kernels::copy_interior(b, a);
+    rt::kernels::jacobi3d_step(a, b, c, plan);
   }
   void exec(const ExecPolicy& pol, Array3D<double>& a,
             Array3D<double>& b) const {
@@ -112,13 +100,7 @@ struct RedBlackStep {
   TilingPlan plan;
   template <class A>
   void operator()(A& a) const {
-    if (plan.schedule == rt::core::LoopSchedule::kRecursive) {
-      rt::kernels::redblack_oblivious(a, c1, c2, plan.tile);
-    } else if (plan.tiled) {
-      rt::kernels::redblack_tiled(a, c1, c2, plan.tile);
-    } else {
-      rt::kernels::redblack_naive(a, c1, c2);
-    }
+    rt::kernels::redblack(a, c1, c2, plan);
   }
   void exec(const ExecPolicy& pol, Array3D<double>& a) const {
     for (long parity = 0; parity < 2; ++parity) {
@@ -134,13 +116,7 @@ struct ResidStep {
   TilingPlan plan;
   template <class R, class V, class U>
   void operator()(R& r, V& v, U& u) const {
-    if (plan.schedule == rt::core::LoopSchedule::kRecursive) {
-      rt::kernels::resid_oblivious(r, v, u, a, plan.tile);
-    } else if (plan.tiled) {
-      rt::kernels::resid_tiled(r, v, u, a, plan.tile);
-    } else {
-      rt::kernels::resid(r, v, u, a);
-    }
+    rt::kernels::resid(r, v, u, a, plan);
   }
   void exec(const ExecPolicy& pol, Array3D<double>& r, Array3D<double>& v,
             Array3D<double>& u) const {
@@ -155,13 +131,7 @@ struct PsinvStep {
   TilingPlan plan;
   template <class U, class R>
   void operator()(U& u, R& r) const {
-    if (plan.schedule == rt::core::LoopSchedule::kRecursive) {
-      rt::multigrid::psinv_oblivious(u, r, c, plan.tile);
-    } else if (plan.tiled) {
-      rt::multigrid::psinv_tiled(u, r, c, plan.tile);
-    } else {
-      rt::multigrid::psinv(u, r, c);
-    }
+    rt::multigrid::psinv(u, r, c, plan);
   }
   void exec(const ExecPolicy& pol, Array3D<double>& u,
             Array3D<double>& r) const {
@@ -333,11 +303,9 @@ RunResult run_with_plan_impl(KernelId id, const rt::core::TilingPlan& plan,
   if (opts.time_host) {
     // threads > 1 runs the steps through rt::simd::execute on a pool
     // (--simd=off there runs the baseline rows stamp: the accessor
-    // reference is serial only); so does any serial SIMD level.  Recursive
-    // (oblivious) plans run there as flat tiles of the base case — the
-    // same block set the recursion bottoms out at, still bit-identical;
-    // only the serial-scalar reference (and simulation) walks the true
-    // recursion.
+    // reference is serial only); so does any serial SIMD level.  On a
+    // pool, recursive (oblivious) plans run as the grid of their base
+    // tiles, still bit-identical; serially every path walks the recursion.
     res.threads_requested = opts.threads > 1 ? opts.threads : 1;
     res.simd_requested = opts.simd;
     std::unique_ptr<rt::par::ThreadPool> pool;

@@ -12,7 +12,9 @@
 //
 //  * kSkew — slope-1 skewed K blocks: plane p's step-t update runs in the
 //    block containing p + t; blocks run serially in ascending K, planes of
-//    one (block, t) stage are independent (wavefront parallelism).
+//    one (block, t) stage are independent (wavefront parallelism).  One
+//    stage generator (rt::kernels::for_each_skew_stage) drives both the
+//    serial accessor reference and the row executor.
 //  * kDiamond — two-phase diamond wavefront: phase 1 runs per-block
 //    descending triangles (steps t cover the planes whose offset within
 //    the block lies in [t, W-1-t]) which are fully independent across

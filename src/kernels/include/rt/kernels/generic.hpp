@@ -1,31 +1,25 @@
 #pragma once
-// Generic stencil engine: execute any rt::core::StencilDesc, original or
-// JI-tiled.  This is the library's "apply what the planner planned" path
-// for user-defined stencils (see examples/custom_stencil.cpp); the
-// hand-written kernels in this directory remain for the paper's exact loop
-// nests and for performance.
+// Generic stencil engine: execute any rt::core::StencilDesc under any
+// TilingPlan (one body over a Box, walked by rt/kernels/schedule.hpp).
+// This is the library's "apply what the planner planned" path for
+// user-defined stencils (see examples/custom_stencil.cpp); the hand-written
+// kernels in this directory remain for the paper's exact loop nests and
+// for performance.
 
 #include <algorithm>
 
-#include "rt/core/cost.hpp"
 #include "rt/core/stencil_desc.hpp"
+#include "rt/kernels/schedule.hpp"
 
 namespace rt::kernels {
 
-/// out(i,j,k) = sum_q w_q * in(i+di_q, j+dj_q, k+dk_q) over the interior
-/// (interior margins sized by the stencil's own reach).
+/// out(i,j,k) = sum_q w_q * in(i+di_q, j+dj_q, k+dk_q) over box @p x.
 template <class Dst, class Src>
-void apply_stencil(Dst& out, Src& in, const rt::core::StencilDesc& d) {
-  const long n1 = out.n1(), n2 = out.n2(), n3 = out.n3();
-  int r1 = 0, r2 = 0, r3 = 0;
-  for (const auto& p : d.points) {
-    r1 = std::max({r1, p.di, -p.di});
-    r2 = std::max({r2, p.dj, -p.dj});
-    r3 = std::max({r3, p.dk, -p.dk});
-  }
-  for (long k = r3; k < n3 - r3; ++k) {
-    for (long j = r2; j < n2 - r2; ++j) {
-      for (long i = r1; i < n1 - r1; ++i) {
+void apply_stencil(Dst& out, Src& in, const rt::core::StencilDesc& d,
+                   const Box& x) {
+  for (long k = x.klo; k < x.khi; ++k) {
+    for (long j = x.jlo; j < x.jhi; ++j) {
+      for (long i = x.ilo; i < x.ihi; ++i) {
         double acc = 0.0;
         for (const auto& p : d.points) {
           acc += p.w * in.load(i + p.di, j + p.dj, k + p.dk);
@@ -36,34 +30,21 @@ void apply_stencil(Dst& out, Src& in, const rt::core::StencilDesc& d) {
   }
 }
 
-/// JI-tiled version (paper Fig. 6 structure) of apply_stencil.
+/// apply_stencil over the interior — margins sized by the stencil's own
+/// reach — block by block under @p plan (a tiled plan gives the paper's
+/// Fig. 6 structure).
 template <class Dst, class Src>
-void apply_stencil_tiled(Dst& out, Src& in, const rt::core::StencilDesc& d,
-                         rt::core::IterTile t) {
-  const long n1 = out.n1(), n2 = out.n2(), n3 = out.n3();
+void apply_stencil(Dst& out, Src& in, const rt::core::StencilDesc& d,
+                   const TilingPlan& plan = {}) {
   int r1 = 0, r2 = 0, r3 = 0;
   for (const auto& p : d.points) {
     r1 = std::max({r1, p.di, -p.di});
     r2 = std::max({r2, p.dj, -p.dj});
     r3 = std::max({r3, p.dk, -p.dk});
   }
-  for (long jj = r2; jj < n2 - r2; jj += t.tj) {
-    const long jhi = std::min(jj + t.tj, n2 - static_cast<long>(r2));
-    for (long ii = r1; ii < n1 - r1; ii += t.ti) {
-      const long ihi = std::min(ii + t.ti, n1 - static_cast<long>(r1));
-      for (long k = r3; k < n3 - r3; ++k) {
-        for (long j = jj; j < jhi; ++j) {
-          for (long i = ii; i < ihi; ++i) {
-            double acc = 0.0;
-            for (const auto& p : d.points) {
-              acc += p.w * in.load(i + p.di, j + p.dj, k + p.dk);
-            }
-            out.store(i, j, k, acc);
-          }
-        }
-      }
-    }
-  }
+  const Box interior{r1, out.n1() - r1, r2, out.n2() - r2, r3, out.n3() - r3};
+  for_each_block(plan, interior,
+                 [&](const Box& x) { apply_stencil(out, in, d, x); });
 }
 
 }  // namespace rt::kernels

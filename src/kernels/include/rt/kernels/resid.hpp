@@ -2,16 +2,14 @@
 // RESID (paper Fig. 13): the residual computation from the SPEC/NAS MGRID
 // multigrid benchmark — a full 27-point stencil, r = v - A u, with
 // coefficients grouped by neighbour class (centre / face / edge / corner).
-// Original and tiled (T2 x T1 on the inner two loops) forms.
+// One body over a Box; the paper's tiled form (T2 x T1 on the inner two
+// loops) is that body under a tiled plan.
 
-#include <algorithm>
 #include <array>
 
-#include "rt/core/cost.hpp"
+#include "rt/kernels/schedule.hpp"
 
 namespace rt::kernels {
-
-using rt::core::IterTile;
 
 /// Stencil coefficients: a[0] centre, a[1] faces, a[2] edges, a[3] corners.
 using ResidCoeffs = std::array<double, 4>;
@@ -21,10 +19,12 @@ inline ResidCoeffs nas_mg_a() {
   return ResidCoeffs{-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0};
 }
 
-/// One 27-point residual at (i1, i2, i3).
-template <class R, class V, class U>
-inline void resid_point(R& r, V& v, U& u, const ResidCoeffs& a, long i1,
-                        long i2, long i3) {
+/// The 26 neighbours of u at (i1, i2, i3) summed by class: {faces, edges,
+/// corners}, each in a fixed left-associated order (RESID and PSINV share
+/// it, and the row sweeps reproduce it bit for bit).
+template <class U>
+inline std::array<double, 3> neighbour_sums(U& u, long i1, long i2,
+                                            long i3) {
   const double s1 = u.load(i1 - 1, i2, i3) + u.load(i1 + 1, i2, i3) +
                     u.load(i1, i2 - 1, i3) + u.load(i1, i2 + 1, i3) +
                     u.load(i1, i2, i3 - 1) + u.load(i1, i2, i3 + 1);
@@ -40,42 +40,30 @@ inline void resid_point(R& r, V& v, U& u, const ResidCoeffs& a, long i1,
       u.load(i1 - 1, i2 + 1, i3 - 1) + u.load(i1 + 1, i2 + 1, i3 - 1) +
       u.load(i1 - 1, i2 - 1, i3 + 1) + u.load(i1 + 1, i2 - 1, i3 + 1) +
       u.load(i1 - 1, i2 + 1, i3 + 1) + u.load(i1 + 1, i2 + 1, i3 + 1);
-  r.store(i1, i2, i3,
-          v.load(i1, i2, i3) - a[0] * u.load(i1, i2, i3) - a[1] * s1 -
-              a[2] * s2 - a[3] * s3);
+  return {s1, s2, s3};
 }
 
-/// r = v - A u over the interior (paper Fig. 13, left).
+/// r = v - A u (paper Fig. 13) over box @p x.
 template <class R, class V, class U>
-void resid(R& r, V& v, U& u, const ResidCoeffs& a) {
-  const long n1 = r.n1(), n2 = r.n2(), n3 = r.n3();
-  for (long i3 = 1; i3 < n3 - 1; ++i3) {
-    for (long i2 = 1; i2 < n2 - 1; ++i2) {
-      for (long i1 = 1; i1 < n1 - 1; ++i1) {
-        resid_point(r, v, u, a, i1, i2, i3);
+void resid(R& r, V& v, U& u, const ResidCoeffs& a, const Box& x) {
+  for (long i3 = x.klo; i3 < x.khi; ++i3) {
+    for (long i2 = x.jlo; i2 < x.jhi; ++i2) {
+      for (long i1 = x.ilo; i1 < x.ihi; ++i1) {
+        const std::array<double, 3> s = neighbour_sums(u, i1, i2, i3);
+        r.store(i1, i2, i3,
+                v.load(i1, i2, i3) - a[0] * u.load(i1, i2, i3) -
+                    a[1] * s[0] - a[2] * s[1] - a[3] * s[2]);
       }
     }
   }
 }
 
-/// Tiled RESID (paper Fig. 13, right): I2/I1 strip-mined by (t.tj, t.ti),
-/// tile loops outermost, I3 untiled.
+/// resid over the interior, block by block under @p plan.
 template <class R, class V, class U>
-void resid_tiled(R& r, V& v, U& u, const ResidCoeffs& a, IterTile t) {
-  const long n1 = r.n1(), n2 = r.n2(), n3 = r.n3();
-  for (long ii2 = 1; ii2 < n2 - 1; ii2 += t.tj) {
-    const long i2hi = std::min(ii2 + t.tj, n2 - 1);
-    for (long ii1 = 1; ii1 < n1 - 1; ii1 += t.ti) {
-      const long i1hi = std::min(ii1 + t.ti, n1 - 1);
-      for (long i3 = 1; i3 < n3 - 1; ++i3) {
-        for (long i2 = ii2; i2 < i2hi; ++i2) {
-          for (long i1 = ii1; i1 < i1hi; ++i1) {
-            resid_point(r, v, u, a, i1, i2, i3);
-          }
-        }
-      }
-    }
-  }
+void resid(R& r, V& v, U& u, const ResidCoeffs& a,
+           const TilingPlan& plan = {}) {
+  for_each_block(plan, interior_of(r),
+                 [&](const Box& x) { resid(r, v, u, a, x); });
 }
 
 }  // namespace rt::kernels

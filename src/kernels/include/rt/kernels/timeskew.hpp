@@ -20,57 +20,55 @@
 
 #include <algorithm>
 
+#include "rt/kernels/jacobi3d.hpp"
+
 namespace rt::kernels {
 
-/// @param a,b  ping-pong arrays; `b` holds the initial state (step 0)
-/// @param tsteps  number of sweeps (<= 0 is a no-op); final state is in `a`
-///                if tsteps is odd, else in `b`... concretely: step s
-///                writes (s even ? a : b).
-/// @param bk  K-block size (planes per block); values < 1 are clamped to 1
-///            (bk <= 0 would otherwise never advance the block loop)
-template <class Arr>
-void jacobi3d_timeskew(Arr& a, Arr& b, double c, int tsteps, long bk) {
+/// The skew's stages in execution order: for every K block kb (ascending)
+/// and step t, fn(t, lo, hi) over the planes lo..hi (inclusive) that step
+/// t updates in that block; empty stages are skipped.  @p n3 is the grid's
+/// K extent, @p bk the block depth (values < 1 are clamped to 1: bk <= 0
+/// would never advance the block loop).
+template <class Fn>
+void for_each_skew_stage(long n3, int tsteps, long bk, Fn&& fn) {
   if (tsteps <= 0) return;
   bk = std::max(bk, 1L);
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  const auto plane = [&](Arr& dst, Arr& src, long k) {
-    for (long j = 1; j < n2 - 1; ++j) {
-      for (long i = 1; i < n1 - 1; ++i) {
-        dst.store(i, j, k,
-                  c * (src.load(i - 1, j, k) + src.load(i + 1, j, k) +
-                       src.load(i, j - 1, k) + src.load(i, j + 1, k) +
-                       src.load(i, j, k - 1) + src.load(i, j, k + 1)));
-      }
-    }
-  };
   for (long kb = 1; kb < (n3 - 2) + tsteps; kb += bk) {
     for (int t = 0; t < tsteps; ++t) {
       const long lo = std::max(1L, kb - t);
       const long hi = std::min(n3 - 2, kb + bk - 1 - t);
-      Arr& dst = (t % 2 == 0) ? a : b;
-      Arr& src = (t % 2 == 0) ? b : a;
-      for (long k = lo; k <= hi; ++k) plane(dst, src, k);
+      if (lo <= hi) fn(t, lo, hi);
     }
   }
+}
+
+/// @param a,b  ping-pong arrays; `b` holds the initial state (step 0)
+/// @param tsteps  number of sweeps (<= 0 is a no-op); step s writes
+///                (s even ? a : b)
+/// @param bk  K-block size (planes per block)
+template <class Arr>
+void jacobi3d_timeskew(Arr& a, Arr& b, double c, int tsteps, long bk) {
+  for_each_skew_stage(a.n3(), tsteps, bk, [&](int t, long lo, long hi) {
+    Box x = interior_of(a);
+    x.klo = lo;
+    x.khi = hi + 1;
+    if (t % 2 == 0) {
+      jacobi3d(a, b, c, x);
+    } else {
+      jacobi3d(b, a, c, x);
+    }
+  });
 }
 
 /// Reference: tsteps alternating whole-array sweeps (what time skewing
 /// must reproduce bitwise).
 template <class Arr>
 void jacobi3d_pingpong(Arr& a, Arr& b, double c, int tsteps) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
   for (int t = 0; t < tsteps; ++t) {
-    Arr& dst = (t % 2 == 0) ? a : b;
-    Arr& src = (t % 2 == 0) ? b : a;
-    for (long k = 1; k < n3 - 1; ++k) {
-      for (long j = 1; j < n2 - 1; ++j) {
-        for (long i = 1; i < n1 - 1; ++i) {
-          dst.store(i, j, k,
-                    c * (src.load(i - 1, j, k) + src.load(i + 1, j, k) +
-                         src.load(i, j - 1, k) + src.load(i, j + 1, k) +
-                         src.load(i, j, k - 1) + src.load(i, j, k + 1)));
-        }
-      }
+    if (t % 2 == 0) {
+      jacobi3d(a, b, c);
+    } else {
+      jacobi3d(b, a, c);
     }
   }
 }

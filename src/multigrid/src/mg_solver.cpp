@@ -169,11 +169,7 @@ void MgSolver::resid_level(int l, Grid& r, Grid& v, Grid& u, bool allow_tile) {
       run_op(
           hier_,
           [&](auto&& ra, auto&& va, auto&& ua) {
-            if (plan.tiled) {
-              rt::kernels::resid_tiled(ra, va, ua, a, plan.tile);
-            } else {
-              rt::kernels::resid(ra, va, ua, a);
-            }
+            rt::kernels::resid(ra, va, ua, a, plan);
           },
           GB{&r, base_of(r)}, GB{&v, base_of(v)}, GB{&u, base_of(u)});
     }
@@ -194,14 +190,7 @@ void MgSolver::psinv_level(int l, Grid& u, Grid& r) {
       });
     } else {
       run_op(
-          hier_,
-          [&](auto&& ua, auto&& ra) {
-            if (plan.tiled) {
-              psinv_tiled(ua, ra, c, plan.tile);
-            } else {
-              psinv(ua, ra, c);
-            }
-          },
+          hier_, [&](auto&& ua, auto&& ra) { psinv(ua, ra, c, plan); },
           GB{&u, base_of(u)}, GB{&r, base_of(r)});
     }
   }

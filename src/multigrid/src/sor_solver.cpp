@@ -127,11 +127,7 @@ void SorSolver::sweep() {
       }
     } else {
       const auto reference = [&](auto&& u, auto&& rhs) {
-        if (opts_.plan.tiled) {
-          rt::kernels::redblack_tiled_rhs(u, rhs, c1, c2, opts_.plan.tile);
-        } else {
-          rt::kernels::redblack_naive_rhs(u, rhs, c1, c2);
-        }
+        rt::kernels::redblack_rhs(u, rhs, c1, c2, opts_.plan);
       };
       if (hier_) {
         reference(rt::cachesim::TracedArray3D<double>(u_, u_base_, *hier_),

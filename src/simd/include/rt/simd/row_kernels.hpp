@@ -14,9 +14,7 @@
 //
 // Two ISA instantiations of every sweep are compiled (baseline, and a
 // target("avx2") clone on x86); SimdLevel picks one at run time, so no
-// global -mavx2 build flag is needed.  Building with -DRT_SIMD_AVX2=ON
-// additionally swaps the Jacobi AVX2 sweep for hand-written
-// intrinsics (same left-associated add chain, still bit-identical).
+// global -mavx2 build flag is needed.
 //
 // Aliasing contract: destination and source arrays must be distinct
 // allocations (the accessor kernels are only ever used that way too);
@@ -33,6 +31,7 @@
 
 #include "rt/array/array3d.hpp"
 #include "rt/kernels/resid.hpp"
+#include "rt/kernels/schedule.hpp"
 #include "rt/simd/simd.hpp"
 
 namespace rt::simd {
@@ -44,11 +43,9 @@ using rt::array::Array3D;
 /// stays below rt::multigrid in the layering.
 using PsinvCoeffs = std::array<double, 4>;
 
-/// Interior sub-box [ilo,ihi) x [jlo,jhi) x [klo,khi) of the grid a sweep
-/// writes.  An empty range in any dimension sweeps nothing.
-struct Box {
-  long ilo, ihi, jlo, jhi, klo, khi;
-};
+/// Sub-box of the grid a sweep writes (rt/kernels/schedule.hpp): the
+/// block the executor hands the sweep.  An empty range sweeps nothing.
+using rt::kernels::Box;
 
 /// a(i,j,k) = c * (six face neighbours of b); a and b share dims.
 void jacobi_sweep(Array3D<double>& a, const Array3D<double>& b, double c,

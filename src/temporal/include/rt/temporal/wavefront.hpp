@@ -12,9 +12,10 @@
 // shape and SimdLevel (asserted by tests/temporal_test.cpp).
 //
 //  * jacobi3d_skew_rows — the slope-1 skew of rt::kernels::
-//    jacobi3d_timeskew, parallelised across the planes of each (block,
-//    step) stage on a ThreadPool (the PR-4 wavefront), with the inner
-//    (j, k)-row sweeps vectorised through rt::simd::jacobi_sweep.
+//    jacobi3d_timeskew: the same (block, step) stages from the same
+//    generator (rt::kernels::for_each_skew_stage), each stage's planes
+//    parallel on a ThreadPool, with the inner (j, k)-row sweeps vectorised
+//    through rt::simd::jacobi_sweep.
 //  * jacobi3d_diamond_rows — the Malas-style two-phase diamond: phase 1
 //    runs per-block descending triangles concurrently with NO inter-team
 //    synchronisation (blocks only touch their own planes), phase 2 fills

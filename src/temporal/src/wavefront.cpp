@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "rt/guard/fault_injector.hpp"
+#include "rt/kernels/timeskew.hpp"
 #include "rt/simd/row_kernels.hpp"
 
 namespace rt::temporal {
@@ -115,30 +116,24 @@ void diamond_thread(int idx, DiamondShared& sh, Array3D<double>& a,
 TemporalRun jacobi3d_skew_rows(rt::par::ThreadPool* pool, Array3D<double>& a,
                                Array3D<double>& b, double c,
                                const TemporalPlan& plan, SimdLevel lvl) {
-  const long n1 = a.n1(), n2 = a.n2(), n3 = a.n3();
-  const long bk = std::max(plan.bk, 1L);
+  const long n1 = a.n1(), n2 = a.n2();
   TemporalRun run;
   run.threads = pool ? pool->num_threads() : 1;
-  if (plan.tsteps <= 0) return run;
-  for (long kb = 1; kb < (n3 - 2) + plan.tsteps; kb += bk) {
-    for (int t = 0; t < plan.tsteps; ++t) {
-      const long lo = std::max(1L, kb - t);
-      const long hi = std::min(n3 - 2, kb + bk - 1 - t);
-      if (hi < lo) continue;
-      Array3D<double>& dst = (t % 2 == 0) ? a : b;
-      const Array3D<double>& src = (t % 2 == 0) ? b : a;
-      if (run.threads > 1) {
+  rt::kernels::for_each_skew_stage(
+      a.n3(), plan.tsteps, plan.bk, [&](int t, long lo, long hi) {
+        Array3D<double>& dst = (t % 2 == 0) ? a : b;
+        const Array3D<double>& src = (t % 2 == 0) ? b : a;
+        if (run.threads == 1) {
+          rt::simd::jacobi_sweep(dst, src, c,
+                                 {1, n1 - 1, 1, n2 - 1, lo, hi + 1}, lvl);
+          return;
+        }
         pool->parallel_for(hi - lo + 1, [&](long kk) {
           rt::simd::jacobi_sweep(dst, src, c,
                                  {1, n1 - 1, 1, n2 - 1, lo + kk, lo + kk + 1},
                                  lvl);
         });  // barrier: stage (kb, t) completes before (kb, t + 1)
-      } else {
-        rt::simd::jacobi_sweep(dst, src, c, {1, n1 - 1, 1, n2 - 1, lo, hi + 1},
-                               lvl);
-      }
-    }
-  }
+      });
   return run;
 }
 

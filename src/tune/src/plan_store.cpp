@@ -232,10 +232,10 @@ class Reader {
 };
 
 /// Why a parsed spatial entry's plan cannot be executed ("" when it can).
-/// Installed entries are pinned into the PlanCache and run as-is: a zero
-/// tile extent would never advance the accessor tile loops, a pad below
-/// the planned extent gives strides shorter than the rows, and a recursive
-/// schedule without a tile hands the oblivious kernels a 0x0 base tile.
+/// Installed entries are pinned into the PlanCache and run as-is: a tile
+/// extent below 1 or a recursive schedule without a tile would silently run
+/// flat instead of the tiling the entry claims, and a pad below the planned
+/// extent gives strides shorter than the rows.
 /// An untiled plan with the tiled schedule (as older stores hold) runs flat
 /// on every path and stays valid.
 std::string plan_defect(const StoreEntry& e) {

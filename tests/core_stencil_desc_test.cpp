@@ -103,7 +103,7 @@ TEST_P(GenericTiled, TiledMatchesUntiled) {
   Array3D<double> a1(n, n, kd), a2(n, n, kd);
   const StencilDesc d = StencilDesc::full27(0.5, -0.1, 0.02, 0.003);
   rt::kernels::apply_stencil(a1, b, d);
-  rt::kernels::apply_stencil_tiled(a2, b, d, t);
+  rt::kernels::apply_stencil(a2, b, d, rt::kernels::tiled_plan(t));
   for (long k = 1; k < kd - 1; ++k)
     for (long j = 1; j < n - 1; ++j)
       for (long i = 1; i < n - 1; ++i)

@@ -1,5 +1,6 @@
 // Executor identity suite: every stencil run through rt::simd::execute must
-// be *bit-identical* to its serial accessor reference, for all eight row
+// be *bit-identical* to its serial accessor reference — the unscheduled
+// body applied once to the whole interior — for all eight row
 // sweeps (JACOBI, copy, REDBLACK, REDBLACK+rhs, RESID, PSINV, RPRJ3,
 // INTERP) x the three loop schedules (flat, tiled, recursive) x thread
 // counts {1, 2, 3, 4} x the row levels (rows, avx2).  Shapes cover
@@ -20,7 +21,6 @@
 
 #include "rt/array/array3d.hpp"
 #include "rt/kernels/jacobi3d.hpp"
-#include "rt/kernels/oblivious.hpp"
 #include "rt/kernels/redblack.hpp"
 #include "rt/kernels/resid.hpp"
 #include "rt/multigrid/operators.hpp"
@@ -35,6 +35,7 @@ using rt::array::Dims3;
 using rt::core::IterTile;
 using rt::core::LoopSchedule;
 using rt::core::TilingPlan;
+using rt::kernels::interior_of;
 using rt::par::ThreadPool;
 
 Array3D<double> make_grid(long n1, long n2, long n3, double seed,
@@ -122,17 +123,8 @@ TEST_P(ExecIdentity, JacobiAndCopy) {
   for_each_case([&](const TilingPlan& plan, const ExecPolicy& pol) {
     Array3D<double> b1 = grid(0.5), b2 = b1;
     Array3D<double> a1(b1.dims()), a2(b1.dims());
-    if (plan.schedule == LoopSchedule::kRecursive) {
-      rt::kernels::jacobi3d_oblivious(a1, b1, 1.0 / 6.0, plan.tile);
-      rt::kernels::copy_interior_oblivious(b1, a1, plan.tile);
-    } else {
-      if (plan.tiled) {
-        rt::kernels::jacobi3d_tiled(a1, b1, 1.0 / 6.0, plan.tile);
-      } else {
-        rt::kernels::jacobi3d(a1, b1, 1.0 / 6.0);
-      }
-      rt::kernels::copy_interior(b1, a1);
-    }
+    rt::kernels::jacobi3d(a1, b1, 1.0 / 6.0, interior_of(a1));
+    rt::kernels::copy_interior(b1, a1, interior_of(b1));
     execute(pol, plan, a2, [&](const Box& x) {
       jacobi_sweep(a2, b2, 1.0 / 6.0, x, pol.lvl);
     });
@@ -145,44 +137,29 @@ TEST_P(ExecIdentity, JacobiAndCopy) {
 
 TEST_P(ExecIdentity, RedBlack) {
   for_each_case([&](const TilingPlan& plan, const ExecPolicy& pol) {
-    Array3D<double> a1 = grid(0.3), a2 = a1, a3 = a1;
-    // Serial fused tiled / recursive schedules and the two-pass naive one
-    // all agree; the executor's one-call-per-colour schedule must too.
-    if (plan.schedule == LoopSchedule::kRecursive) {
-      rt::kernels::redblack_oblivious(a1, 0.4, 0.1, plan.tile);
-    } else if (plan.tiled) {
-      rt::kernels::redblack_tiled(a1, 0.4, 0.1, plan.tile);
-    } else {
-      rt::kernels::redblack_naive(a1, 0.4, 0.1);
-    }
-    rt::kernels::redblack_naive(a3, 0.4, 0.1);
+    Array3D<double> a1 = grid(0.3), a2 = a1;
     for (long parity = 0; parity < 2; ++parity) {
+      rt::kernels::redblack_colour(a1, 0.4, 0.1, parity, interior_of(a1));
       execute(pol, plan, a2, [&](const Box& x) {
         redblack_sweep(a2, 0.4, 0.1, parity, x, pol.lvl);
       });
     }
     EXPECT_TRUE(grids_equal(a1, a2)) << describe(plan, pol.lvl);
-    EXPECT_TRUE(grids_equal(a3, a2)) << "naive " << describe(plan, pol.lvl);
   });
 }
 
 TEST_P(ExecIdentity, RedBlackRhs) {
   for_each_case([&](const TilingPlan& plan, const ExecPolicy& pol) {
     const Array3D<double> r = grid(0.9);
-    Array3D<double> a1 = grid(0.3), a2 = a1, a3 = a1;
-    if (plan.tiled) {
-      rt::kernels::redblack_tiled_rhs(a1, r, 0.4, 0.1, plan.tile);
-    } else {
-      rt::kernels::redblack_naive_rhs(a1, r, 0.4, 0.1);
-    }
-    rt::kernels::redblack_naive_rhs(a3, r, 0.4, 0.1);
+    Array3D<double> a1 = grid(0.3), a2 = a1;
     for (long parity = 0; parity < 2; ++parity) {
+      rt::kernels::redblack_rhs_colour(a1, r, 0.4, 0.1, parity,
+                                       interior_of(a1));
       execute(pol, plan, a2, [&](const Box& x) {
         redblack_rhs_sweep(a2, r, 0.4, 0.1, parity, x, pol.lvl);
       });
     }
     EXPECT_TRUE(grids_equal(a1, a2)) << describe(plan, pol.lvl);
-    EXPECT_TRUE(grids_equal(a3, a2)) << "naive " << describe(plan, pol.lvl);
   });
 }
 
@@ -191,13 +168,7 @@ TEST_P(ExecIdentity, Resid) {
   for_each_case([&](const TilingPlan& plan, const ExecPolicy& pol) {
     const Array3D<double> u = grid(0.1), v = grid(0.7);
     Array3D<double> r1 = grid(0.2), r2 = r1;
-    if (plan.schedule == LoopSchedule::kRecursive) {
-      rt::kernels::resid_oblivious(r1, v, u, a, plan.tile);
-    } else if (plan.tiled) {
-      rt::kernels::resid_tiled(r1, v, u, a, plan.tile);
-    } else {
-      rt::kernels::resid(r1, v, u, a);
-    }
+    rt::kernels::resid(r1, v, u, a, interior_of(r1));
     execute(pol, plan, r2,
             [&](const Box& x) { resid_sweep(r2, v, u, a, x, pol.lvl); });
     EXPECT_TRUE(grids_equal(r1, r2)) << describe(plan, pol.lvl);
@@ -215,13 +186,7 @@ TEST_P(ExecIdentity, Psinv) {
     for_each_case([&](const TilingPlan& plan, const ExecPolicy& pol) {
       const Array3D<double> r = grid(0.7);
       Array3D<double> u1 = grid(0.1), u2 = u1;
-      if (plan.schedule == LoopSchedule::kRecursive) {
-        rt::multigrid::psinv_oblivious(u1, r, c, plan.tile);
-      } else if (plan.tiled) {
-        rt::multigrid::psinv_tiled(u1, r, c, plan.tile);
-      } else {
-        rt::multigrid::psinv(u1, r, c);
-      }
+      rt::multigrid::psinv(u1, r, c, interior_of(u1));
       execute(pol, plan, u2,
               [&](const Box& x) { psinv_sweep(u2, r, c, x, pol.lvl); });
       EXPECT_TRUE(grids_equal(u1, u2)) << describe(plan, pol.lvl);
@@ -307,7 +272,7 @@ TEST(Exec, MultiStepJacobiStaysBitIdentical) {
       Array3D<double> b1 = make_grid(20, 14, 12, 0.9), b2 = b1;
       Array3D<double> a1(20, 14, 12), a2(20, 14, 12);
       for (int t = 0; t < 4; ++t) {
-        rt::kernels::jacobi3d_tiled(a1, b1, 1.0 / 6.0, plan.tile);
+        rt::kernels::jacobi3d(a1, b1, 1.0 / 6.0);
         rt::kernels::copy_interior(b1, a1);
         execute(pol, plan, a2, [&](const Box& x) {
           jacobi_sweep(a2, b2, 1.0 / 6.0, x, lvl);
@@ -346,7 +311,7 @@ TEST(Exec, PaddedArraysComputeSameValues) {
   Array3D<double> b2 = make_grid(12, 18, 8, 0.2, 17, 23);
   Array3D<double> a1(12, 18, 8);
   Array3D<double> a2(Dims3::padded(12, 18, 8, 17, 23));
-  rt::kernels::jacobi3d_tiled(a1, b1, 1.0 / 6.0, plan.tile);
+  rt::kernels::jacobi3d(a1, b1, 1.0 / 6.0);
   execute({&pool, SimdLevel::kRows}, plan, a2, [&](const Box& x) {
     jacobi_sweep(a2, b2, 1.0 / 6.0, x, SimdLevel::kRows);
   });
@@ -392,7 +357,7 @@ TEST(Exec, RedBlackRepeatedRunsAreDeterministic) {
   plan.tiled = true;
   plan.tile = IterTile{3, 2};
   Array3D<double> ref = make_grid(19, 23, 10, 0.6);
-  rt::kernels::redblack_naive(ref, 0.4, 0.1);
+  rt::kernels::redblack(ref, 0.4, 0.1);
   for (int rep = 0; rep < 20; ++rep) {
     Array3D<double> a = make_grid(19, 23, 10, 0.6);
     for (long parity = 0; parity < 2; ++parity) {

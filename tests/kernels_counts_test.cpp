@@ -40,7 +40,7 @@ TEST_P(TiledCounts, JacobiTiledSameAccessCount) {
   Array3D<double> a(n, n, kd), b = grid(n, kd, 0.1);
   CacheHierarchy h = CacheHierarchy::ultrasparc2();
   TracedArray3D<double> ta(a, 0, h), tb(b, 1 << 22, h);
-  jacobi3d_tiled(ta, tb, 1.0 / 6.0, t);
+  jacobi3d(ta, tb, 1.0 / 6.0, tiled_plan(t));
   EXPECT_EQ(h.stats().l1.accesses, 7u * pts);
 }
 
@@ -51,7 +51,7 @@ TEST_P(TiledCounts, ResidTiledSameAccessCount) {
   Array3D<double> r(n, n, kd), v = grid(n, kd, 0.2), u = grid(n, kd, 0.3);
   CacheHierarchy h = CacheHierarchy::ultrasparc2();
   TracedArray3D<double> tr(r, 0, h), tv(v, 1 << 22, h), tu(u, 2 << 22, h);
-  resid_tiled(tr, tv, tu, nas_mg_a(), t);
+  resid(tr, tv, tu, nas_mg_a(), tiled_plan(t));
   EXPECT_EQ(h.stats().l1.accesses, 29u * pts);
 }
 
@@ -73,7 +73,7 @@ TEST_P(TiledCounts, PsinvTiledSameAccessCount) {
   Array3D<double> u = grid(n, kd, 0.5), r = grid(n, kd, 0.6);
   CacheHierarchy h = CacheHierarchy::ultrasparc2();
   TracedArray3D<double> tu(u, 0, h), tr_(r, 1 << 22, h);
-  rt::multigrid::psinv_tiled(tu, tr_, rt::multigrid::nas_mg_c(), t);
+  rt::multigrid::psinv(tu, tr_, rt::multigrid::nas_mg_c(), tiled_plan(t));
   EXPECT_EQ(h.stats().l1.accesses, 29u * pts);
 }
 

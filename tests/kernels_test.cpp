@@ -1,11 +1,13 @@
-// Kernel correctness: tiled variants must compute bitwise-identical results
-// to the original loop nests for many problem/tile shapes, the fused
-// red-black ordering must match the naive two-pass ordering, and access
-// counts must match the registry.
+// Kernel correctness: every stencil body walked under the tiled and the
+// recursive schedules must compute bitwise-identical results to the flat
+// nest for many problem/tile shapes, the fused and skewed red-black nests
+// must match the naive two-pass ordering, and access counts must match the
+// registry.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "rt/array/array3d.hpp"
 #include "rt/cachesim/hierarchy.hpp"
@@ -22,6 +24,8 @@ namespace {
 using rt::array::Array3D;
 using rt::array::Dims3;
 using rt::core::IterTile;
+using rt::core::LoopSchedule;
+using rt::core::TilingPlan;
 
 Array3D<double> make_grid(long n1, long n2, long n3, double seed,
                           long p1 = 0, long p2 = 0) {
@@ -49,6 +53,14 @@ bool interiors_equal(const Array3D<double>& a, const Array3D<double>& b) {
   return true;
 }
 
+/// The tiled and recursive schedules over tile @p t; the flat nest is the
+/// reference each is compared with.
+std::vector<TilingPlan> blocked_plans(IterTile t) {
+  TilingPlan recursive = tiled_plan(t);
+  recursive.schedule = LoopSchedule::kRecursive;
+  return {tiled_plan(t), recursive};
+}
+
 struct Shape {
   long n, k, ti, tj;
 };
@@ -58,21 +70,27 @@ class TiledEquivalence : public ::testing::TestWithParam<Shape> {};
 TEST_P(TiledEquivalence, Jacobi3dTiledMatchesOrig) {
   const auto [n, kd, ti, tj] = GetParam();
   Array3D<double> b = make_grid(n, n, kd, 0.5);
-  Array3D<double> a1(n, n, kd), a2(n, n, kd);
+  Array3D<double> a1(n, n, kd);
   jacobi3d(a1, b, 1.0 / 6.0);
-  jacobi3d_tiled(a2, b, 1.0 / 6.0, IterTile{ti, tj});
-  EXPECT_TRUE(interiors_equal(a1, a2));
+  for (const TilingPlan& p : blocked_plans({ti, tj})) {
+    Array3D<double> a2(n, n, kd);
+    jacobi3d(a2, b, 1.0 / 6.0, p);
+    EXPECT_TRUE(interiors_equal(a1, a2)) << schedule_name(p.schedule);
+  }
 }
 
 TEST_P(TiledEquivalence, ResidTiledMatchesOrig) {
   const auto [n, kd, ti, tj] = GetParam();
   Array3D<double> u = make_grid(n, n, kd, 0.1);
   Array3D<double> v = make_grid(n, n, kd, 0.7);
-  Array3D<double> r1(n, n, kd), r2(n, n, kd);
+  Array3D<double> r1(n, n, kd);
   const ResidCoeffs a = nas_mg_a();
   resid(r1, v, u, a);
-  resid_tiled(r2, v, u, a, IterTile{ti, tj});
-  EXPECT_TRUE(interiors_equal(r1, r2));
+  for (const TilingPlan& p : blocked_plans({ti, tj})) {
+    Array3D<double> r2(n, n, kd);
+    resid(r2, v, u, a, p);
+    EXPECT_TRUE(interiors_equal(r1, r2)) << schedule_name(p.schedule);
+  }
 }
 
 TEST_P(TiledEquivalence, RedBlackFusedMatchesNaive) {
@@ -81,7 +99,7 @@ TEST_P(TiledEquivalence, RedBlackFusedMatchesNaive) {
   (void)tj;
   Array3D<double> a1 = make_grid(n, n, kd, 0.3);
   Array3D<double> a2 = a1;
-  redblack_naive(a1, 0.4, 0.1);
+  redblack(a1, 0.4, 0.1);
   redblack_fused(a2, 0.4, 0.1);
   EXPECT_TRUE(interiors_equal(a1, a2));
 }
@@ -89,10 +107,12 @@ TEST_P(TiledEquivalence, RedBlackFusedMatchesNaive) {
 TEST_P(TiledEquivalence, RedBlackTiledMatchesNaive) {
   const auto [n, kd, ti, tj] = GetParam();
   Array3D<double> a1 = make_grid(n, n, kd, 0.3);
-  Array3D<double> a2 = a1;
-  redblack_naive(a1, 0.4, 0.1);
+  Array3D<double> a2 = a1, a3 = a1;
+  redblack(a1, 0.4, 0.1);
   redblack_tiled(a2, 0.4, 0.1, IterTile{ti, tj});
   EXPECT_TRUE(interiors_equal(a1, a2));
+  redblack(a3, 0.4, 0.1, blocked_plans({ti, tj})[1]);
+  EXPECT_TRUE(interiors_equal(a1, a3)) << "recursive";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -110,7 +130,7 @@ TEST(TiledEquivalence, MultiStepRedBlackStaysEqual) {
   Array3D<double> a1 = make_grid(20, 20, 12, 0.9);
   Array3D<double> a2 = a1;
   for (int t = 0; t < 4; ++t) {
-    redblack_naive(a1, 0.4, 0.1);
+    redblack(a1, 0.4, 0.1);
     redblack_tiled(a2, 0.4, 0.1, IterTile{5, 3});
   }
   EXPECT_TRUE(interiors_equal(a1, a2));
@@ -123,7 +143,7 @@ TEST(TiledEquivalence, PaddedArraysComputeSameValues) {
   Array3D<double> a1(12, 12, 8);
   Array3D<double> a2(Dims3::padded(12, 12, 8, 17, 19));
   jacobi3d(a1, b1, 1.0 / 6.0);
-  jacobi3d_tiled(a2, b2, 1.0 / 6.0, IterTile{5, 4});
+  jacobi3d(a2, b2, 1.0 / 6.0, tiled_plan({5, 4}));
   EXPECT_TRUE(interiors_equal(a1, a2));
 }
 
@@ -173,7 +193,7 @@ TEST(RedBlack, UpdatesUseFreshNeighbours) {
   // one-hot red point, its black neighbours receive the new red value.
   Array3D<double> a(5, 5, 5);
   a(2, 2, 2) = 1.0;  // (2+2+2) even -> red
-  redblack_naive(a, 0.0, 1.0);
+  redblack(a, 0.0, 1.0);
   // Red pass: (2,2,2) gets sum of 6 black neighbours = 0.
   EXPECT_EQ(a(2, 2, 2), 0.0);
 }
@@ -203,7 +223,7 @@ TEST(KernelInfo, AccessCountsMatchTrace) {
   {  // REDBLACK (full sweep = both colours)
     Array3D<double> a = make_grid(n, n, kd, 0.2);
     rt::cachesim::TracedArray3D<double> ta(a, 0, h);
-    redblack_naive(ta, 0.4, 0.1);
+    redblack(ta, 0.4, 0.1);
     EXPECT_EQ(h.stats().l1.accesses,
               kernel_info(KernelId::kRedBlack).accesses_per_point * pts);
   }

@@ -80,7 +80,7 @@ TEST(Psinv, TiledMatchesOrig) {
   Array3D<double> r = rand_grid(12, 4);
   Array3D<double> u1 = rand_grid(12, 5), u2 = u1;
   psinv(u1, r, nas_mg_c());
-  psinv_tiled(u2, r, nas_mg_c(), rt::core::IterTile{4, 3});
+  psinv(u2, r, nas_mg_c(), rt::kernels::tiled_plan({4, 3}));
   for (long k = 1; k < 11; ++k)
     for (long j = 1; j < 11; ++j)
       for (long i = 1; i < 11; ++i) EXPECT_EQ(u1(i, j, k), u2(i, j, k));

@@ -64,7 +64,7 @@ TEST_P(RandomStress, JacobiTiledPaddedEquals) {
     Array3D<double> b = rand_grid(rng, d);
     Array3D<double> x(d), y(d);
     kernels::jacobi3d(x, b, 1.0 / 6.0);
-    kernels::jacobi3d_tiled(y, b, 1.0 / 6.0, t);
+    kernels::jacobi3d(y, b, 1.0 / 6.0, kernels::tiled_plan(t));
     ASSERT_TRUE(interiors_equal(x, y))
         << "dims " << n1 << "x" << n2 << "x" << n3 << " tile (" << t.ti
         << "," << t.tj << ")";
@@ -79,7 +79,7 @@ TEST_P(RandomStress, RedBlackTiledEquals) {
     const Dims3 d = Dims3::unpadded(n1, n2, n3);
     Array3D<double> a = rand_grid(rng, d);
     Array3D<double> b = a;
-    kernels::redblack_naive(a, 0.4, 0.1);
+    kernels::redblack(a, 0.4, 0.1);
     kernels::redblack_tiled(b, 0.4, 0.1, t);
     ASSERT_TRUE(interiors_equal(a, b))
         << "dims " << n1 << "x" << n2 << "x" << n3 << " tile (" << t.ti
@@ -97,7 +97,7 @@ TEST_P(RandomStress, ResidTiledEquals) {
     Array3D<double> v = rand_grid(rng, d), u = rand_grid(rng, d);
     Array3D<double> r1(d), r2(d);
     kernels::resid(r1, v, u, kernels::nas_mg_a());
-    kernels::resid_tiled(r2, v, u, kernels::nas_mg_a(), t);
+    kernels::resid(r2, v, u, kernels::nas_mg_a(), kernels::tiled_plan(t));
     ASSERT_TRUE(interiors_equal(r1, r2));
   }
 }

@@ -122,29 +122,15 @@ std::string reference_kernel_checksum(ServeKernel kernel, long n, int tsteps,
   for (int t = 0; t < tsteps; ++t) {
     switch (kernel) {
       case ServeKernel::kJacobi:
-        if (rep.plan.tiled) {
-          rt::kernels::jacobi3d_tiled(arrays[0], arrays[1], 1.0 / 6.0,
-                                      rep.plan.tile);
-        } else {
-          rt::kernels::jacobi3d(arrays[0], arrays[1], 1.0 / 6.0);
-        }
+        rt::kernels::jacobi3d(arrays[0], arrays[1], 1.0 / 6.0, rep.plan);
         rt::kernels::copy_interior(arrays[1], arrays[0]);
         break;
       case ServeKernel::kRedBlack:
-        if (rep.plan.tiled) {
-          rt::kernels::redblack_tiled(arrays[0], 0.4, 0.1, rep.plan.tile);
-        } else {
-          rt::kernels::redblack_naive(arrays[0], 0.4, 0.1);
-        }
+        rt::kernels::redblack(arrays[0], 0.4, 0.1, rep.plan);
         break;
       default:
-        if (rep.plan.tiled) {
-          rt::kernels::resid_tiled(arrays[0], arrays[1], arrays[2],
-                                   rt::kernels::nas_mg_a(), rep.plan.tile);
-        } else {
-          rt::kernels::resid(arrays[0], arrays[1], arrays[2],
-                             rt::kernels::nas_mg_a());
-        }
+        rt::kernels::resid(arrays[0], arrays[1], arrays[2],
+                           rt::kernels::nas_mg_a(), rep.plan);
         break;
     }
   }

@@ -20,8 +20,8 @@ TEST(RedBlackRhs, ZeroRhsMatchesPlainKernels) {
     for (long j = 0; j < 12; ++j)
       for (long i = 0; i < 12; ++i)
         a1(i, j, k) = a2(i, j, k) = std::sin(0.3 * i + 0.5 * j + 0.7 * k);
-  rt::kernels::redblack_naive(a1, 0.4, 0.1);
-  rt::kernels::redblack_naive_rhs(a2, zero, 0.4, 0.1);
+  rt::kernels::redblack(a1, 0.4, 0.1);
+  rt::kernels::redblack_rhs(a2, zero, 0.4, 0.1);
   for (long k = 0; k < 10; ++k)
     for (long j = 0; j < 12; ++j)
       for (long i = 0; i < 12; ++i) ASSERT_EQ(a1(i, j, k), a2(i, j, k));
@@ -35,7 +35,7 @@ TEST(RedBlackRhs, TiledMatchesNaive) {
         a1(i, j, k) = a2(i, j, k) = std::cos(0.2 * i + 0.4 * j + 0.6 * k);
         r(i, j, k) = 0.01 * (i - j + k);
       }
-  rt::kernels::redblack_naive_rhs(a1, r, 0.3, 0.11);
+  rt::kernels::redblack_rhs(a1, r, 0.3, 0.11);
   rt::kernels::redblack_tiled_rhs(a2, r, 0.3, 0.11, rt::core::IterTile{4, 3});
   for (long k = 0; k < 9; ++k)
     for (long j = 0; j < 13; ++j)
